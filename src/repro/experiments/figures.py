@@ -8,11 +8,13 @@ shrinks workloads for test/CI speed; the shapes are preserved.
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 
 from ..analysis import ComparisonResult, compare_schedulers, grouped_bars
 from ..config import paper_default
 from ..schedulers import PAPER_SCHEDULERS
+from ..sim import simulate
 from ..state import state_backend
 from ..topology import placement_mode
 from ..workloads import azure_subset_counts, cpu_histogram, ram_histogram
@@ -328,12 +330,25 @@ def _reference_placement():
         yield
 
 
-def _min_times(run_once, repeats: int = TIMING_REPEATS) -> dict[str, float]:
-    """Per-scheduler minimum of ``scheduler_time_s`` over repeated runs."""
+@contextmanager
+def _gc_paused():
+    """Collector off for the block, then back to its prior state (as ``timeit``)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _min_times(trace, repeats: int = TIMING_REPEATS) -> dict[str, float]:
+    """Per-scheduler minimum of ``scheduler_time_s`` over GC-paused runs."""
     best: dict[str, float] = {}
     for _ in range(repeats):
-        times = run_once().metric("scheduler_time_s")
-        for name, value in times.items():
+        for name in PAPER_SCHEDULERS:
+            with _gc_paused():
+                value = simulate(paper_default(), name, trace).summary.scheduler_time_s
             if name not in best or value < best[name]:
                 best[name] = value
     return best
@@ -343,7 +358,7 @@ def run_fig11(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Figure 11: scheduling wall-clock time, synthetic workload."""
     repeats = TIMING_REPEATS_QUICK if quick else TIMING_REPEATS
     with _reference_placement():
-        times = _min_times(lambda: _compare_synthetic(quick, seed), repeats)
+        times = _min_times(synthetic_workload(quick, seed), repeats)
     rows = [{"scheduler": k, "scheduler_time_s": v} for k, v in times.items()]
     rendered = grouped_bars(
         ["synthetic"], {k: [v] for k, v in times.items()}, unit=" s",
@@ -381,7 +396,7 @@ def run_fig12(quick: bool = False, seed: int = 0) -> ExperimentResult:
     series: dict[str, list[float]] = {name: [] for name in PAPER_SCHEDULERS}
     with _reference_placement():
         for subset in subsets:
-            times = _min_times(lambda: _compare_azure(subset, quick, seed), repeats)
+            times = _min_times(azure_workload(subset, quick, seed), repeats)
             for name in PAPER_SCHEDULERS:
                 series[name].append(times[name])
     rows = [

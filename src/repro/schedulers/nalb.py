@@ -8,19 +8,18 @@ NALB extends NULB in two ways (Section 4.1):
    first (bandwidth-sorted), then remote racks nearest fabric tiers first
    and bandwidth-sorted within each tier distance (on the paper's two-tier
    fabric every remote rack is equidistant, so this reduces to the plain
-   bandwidth sort); in the default global mode all boxes sort together by
-   box-uplink availability (box id breaks ties deterministically).
+   bandwidth sort); global mode keeps NULB's rack-major frontier and sorts
+   by box-uplink availability only within each rack (box id breaks ties).
 2. *Network phase*: circuits take the link with the most available bandwidth
    on every hop rather than the first that fits.
 
 Both steps sort, which is exactly why NALB is the slowest algorithm in the
 paper's Figures 11-12; the sorting *semantics* are intentionally kept (they
-*are* the algorithm).  With the capacity index active the cluster-wide sort
-is realized lazily: racks are visited in the BFS tier order and skipped
-outright via O(log n) max-avail checks, and only the first rack containing a
-fitting box sorts its (few) candidates — the chosen box is provably the one
-the full sort-then-scan would pick, which the cross-mode equivalence tests
-pin bit-for-bit.
+*are* the algorithm).  With the capacity index active the sort is never
+built.  Global mode sorts only within a rack, so its first-fit scan stops in
+the rack of the leftmost fitting box (one O(log n) ``first_fit_in_racks``
+descent) and picks that rack's fitting box with the smallest sort key — the
+full scan's pick, which the cross-mode equivalence tests pin bit-for-bit.
 """
 
 from __future__ import annotations
@@ -92,15 +91,11 @@ class NALBScheduler(NULBScheduler):
         if index is None:
             return super()._neighbor_box(rtype, units, home_rack, rack_filter)
         if not self.rack_affinity:
-            # One BFS depth tier per rack, in rack index order; the first
-            # rack with any fitting box wins, bandwidth-sorted within it.
-            for rack in self.cluster.racks:
-                if rack_filter is not None and rack.index not in rack_filter:
-                    continue
-                box = self._best_bandwidth_box(index, rtype, units, rack.index)
-                if box is not None:
-                    return box
-            return None
+            # The leftmost fitting box names the first rack with any fit.
+            first = index.first_fit_in_racks(rtype, units, rack_filter)
+            if first is None:
+                return None
+            return self._best_bandwidth_box(index, rtype, units, first.rack_index)
         box = self._best_bandwidth_box(index, rtype, units, home_rack)
         if box is not None:
             return box

@@ -51,6 +51,10 @@ PLACEMENT_MODES: tuple[str, ...] = ("indexed", "naive")
 
 _NEG_INF = float("-inf")
 
+#: ``MaxSegmentTree.most_available`` folds over the leaves of arrays this short
+#: (box bundles hold 8 links, rack bundles 28; at 64 a descent costs the same).
+LEAF_SCAN_MAX = 32
+
 
 def placement_index_mode() -> str:
     """The process-wide placement query mode (read once per construction)."""
@@ -324,6 +328,12 @@ class MaxSegmentTree:
         n = self.n
         best_pos: Optional[int] = None
         best_avail = -1.0
+        if n <= LEAF_SCAN_MAX:
+            for pos, val in enumerate(tree[size : size + n]):
+                if val > best_avail + eps and val >= demand - eps:
+                    best_pos = pos
+                    best_avail = val
+            return best_pos
         stack: list[tuple[int, int, int]] = [(1, 0, size)]
         while stack:
             node, nlo, nhi = stack.pop()
@@ -658,7 +668,7 @@ class CapacityIndex:
         """Every fitting box of ``rtype`` in one rack, in box-index order."""
         tindex = self._types[rtype]
         lo, hi = tindex.rack_spans[rack_index]
-        return [
-            tindex.boxes[pos]
-            for pos in tindex.tree.positions_at_least(units, lo, hi)
-        ]
+        # Racks hold a few boxes: one pass over the leaves beats a descent.
+        base = tindex.tree.size
+        leaves = tindex.tree.tree[base + lo : base + hi]
+        return [b for b, avail in zip(tindex.boxes[lo:hi], leaves) if avail >= units]

@@ -5,6 +5,8 @@ the full-size versions run in the benchmark harness; the quick versions here
 use smaller workloads with identical dynamics.
 """
 
+import gc
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,7 @@ from repro.experiments import (
     run_fig11,
     run_fig12,
 )
+from repro.experiments.figures import _gc_paused
 
 # Module-scoped cache: each driver runs once in quick mode.
 _RESULTS = {}
@@ -94,6 +97,19 @@ def test_registry_lists_all_experiments():
         "toy1", "toy2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
         "fig11", "fig12", "ext_alpha", "ext_basis", "ext_burst", "ext_scale",
     }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_timing_gc_pause_restores_prior_state(enabled):
+    """The timed runs pause the collector and leave it as they found it."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_render_report_header():

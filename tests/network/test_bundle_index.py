@@ -3,8 +3,10 @@
 The per-bundle max segment tree answers FIRST_FIT by leftmost descent and
 MOST_AVAILABLE by a pruned fold of the naive epsilon tie-breaking scan;
 random reserve/free churn over paired bundles (one indexed, one naive) pins
-both policies to identical link choices.  Also covers the fabric-level
-release guard: tier under-accounting raises instead of silently clamping.
+both policies to identical link choices, on both sides of the bound below
+which MOST_AVAILABLE folds over the tree leaves instead of descending.  Also
+covers the fabric-level release guard: tier under-accounting raises instead of
+silently clamping.
 """
 
 import random
@@ -14,7 +16,10 @@ import pytest
 from repro.config import tiny_test
 from repro.errors import NetworkAllocationError
 from repro.network import Link, LinkBundle, LinkSelectionPolicy, NetworkFabric
+from repro.network.fabric import LINK_DOWN_CAPACITY_GBPS
+from repro.network.link import BANDWIDTH_EPS
 from repro.topology import PLACEMENT_INDEX_ENV, build_cluster
+from repro.topology.capacity_index import LEAF_SCAN_MAX
 from repro.types import LinkTier
 
 
@@ -72,6 +77,54 @@ def test_select_equivalence_under_churn(policy, seed, monkeypatch):
         assert indexed.max_link_avail_gbps() == pytest.approx(
             naive.max_link_avail_gbps()
         )
+
+
+#: Bundle sizes around the leaf-fold bound: paper box (8) and rack (28)
+#: bundles take the fold, the last two the tree descent.
+FOLD_SIZES = (1, 2, 8, 28, LEAF_SCAN_MAX, LEAF_SCAN_MAX + 1, 64)
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+@pytest.mark.parametrize("seed", range(3))
+def test_most_available_matches_naive_scan(n, seed, monkeypatch):
+    """MOST_AVAILABLE on random link states — availabilities within
+    ``BANDWIDTH_EPS`` of each other, downed links at epsilon capacity (some
+    still holding reservations), demands exactly at the epsilon edge —
+    picks the naive scan's link on either side of the fold bound."""
+    rng = random.Random(seed)
+    indexed, naive = make_pair(n=n, monkeypatch=monkeypatch)
+    used_choices = (0.0, 40.0, 40.0 - BANDWIDTH_EPS / 2, 40.0 + BANDWIDTH_EPS / 2, 75.0, 100.0)
+    capacities = []
+    for pos in range(n):
+        used = rng.choice(used_choices)
+        indexed.links[pos].reserve(used)
+        naive.links[pos].reserve(used)
+        capacities.append(LINK_DOWN_CAPACITY_GBPS if rng.random() < 0.2 else 100.0)
+    indexed.set_link_capacities(capacities)
+    naive.set_link_capacities(capacities)
+    avails = [link.avail_gbps for link in naive.links if link.avail_gbps >= 0]
+    demands = [0.0, LINK_DOWN_CAPACITY_GBPS, 25.0, 60.0 + BANDWIDTH_EPS, 100.0]
+    demands += [a + BANDWIDTH_EPS for a in avails] + [a + 2 * BANDWIDTH_EPS for a in avails]
+    for demand in demands:
+        got = indexed.select(demand, LinkSelectionPolicy.MOST_AVAILABLE)
+        want = naive.select(demand, LinkSelectionPolicy.MOST_AVAILABLE)
+        assert (None if got is None else got.link_id) == (
+            None if want is None else want.link_id
+        ), demand
+
+
+@pytest.mark.parametrize("n", [s for s in FOLD_SIZES if s > 1])
+def test_most_available_epsilon_tie_goes_to_first_link(n, monkeypatch):
+    """Two links whose availabilities differ by less than ``BANDWIDTH_EPS``:
+    the earlier one wins, as in the naive left-to-right scan."""
+    indexed, naive = make_pair(n=n, monkeypatch=monkeypatch)
+    for bundle in (indexed, naive):
+        for link in bundle.links:
+            link.reserve(50.0)
+        bundle.links[0].free(10.0)  # avail 60
+        bundle.links[-1].free(10.0 + BANDWIDTH_EPS / 2)  # avail 60 + eps/2
+    for bundle in (indexed, naive):
+        assert bundle.select(30.0, LinkSelectionPolicy.MOST_AVAILABLE) is bundle.links[0]
 
 
 def test_select_does_not_scan_stale_state(monkeypatch):

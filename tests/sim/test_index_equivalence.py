@@ -7,12 +7,13 @@ event stream (EventLog digest), the same summary (modulo wall-clock
 scheduler time), and the same end state, for all four paper schedulers.
 Random synthetic traces over seeds 0-19 cover steady-state behavior; an
 oversubscribed tiny cluster exercises the drop + commit-rollback paths; a
+saturated 16-rack cluster pushes the first fitting rack deep; a
 checkpoint/rollback round-trip pins the index-rebuild path.
 """
 
 import pytest
 
-from repro.config import paper_default, tiny_test
+from repro.config import paper_default, scaled, tiny_test
 from repro.schedulers import PAPER_SCHEDULERS
 from repro.sim import DDCSimulator, EventLog
 from repro.topology import PLACEMENT_INDEX_ENV, placement_mode
@@ -77,6 +78,25 @@ class TestOversubscriptionEquivalence:
         assert_equivalent(out)
         _, summary, _, _ = out["indexed"]
         assert summary["dropped_vms"] > 0  # the path is actually exercised
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scheduler", ["nalb", "nalb_rack_affinity"])
+    def test_saturated_cluster_deep_first_fit(self, scheduler, seed):
+        """Dense arrivals of large, long-lived VMs fill a 16-rack cluster
+        from rack 0 upward, so the first rack with a fitting box lies deep
+        and NALB's indexed search must jump past every full rack."""
+        params = SyntheticWorkloadParams(
+            count=600,
+            mean_interarrival=0.5,
+            base_lifetime=4500.0,
+            lifetime_increment=0.0,
+            cpu_cores_min=24,
+            ram_gb_min=24,
+        )
+        vms = generate_synthetic(params, seed=seed)
+        out = run_both(scaled(16), scheduler, vms)
+        assert_equivalent(out)
+        assert out["indexed"][1]["dropped_vms"] > 0
 
     def test_capacity_identical_after_run(self):
         """Post-run cluster/fabric state matches across modes."""

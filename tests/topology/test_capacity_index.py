@@ -8,11 +8,12 @@ an oracle that recomputes every answer by linear scan.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import paper_default, tiny_test, toy_example
-from repro.topology import PLACEMENT_INDEX_ENV, MaxSegmentTree, build_cluster
+from repro.topology import PLACEMENT_INDEX_ENV, CapacityIndex, MaxSegmentTree, build_cluster
 from repro.types import RESOURCE_ORDER, ResourceType
 
 
@@ -211,6 +212,50 @@ class TestCapacityIndexQueries:
         assert cluster.total_avail(ResourceType.CPU) == sum(
             b.avail_units for b in boxes
         )
+
+
+class _SpanCluster:
+    """The slice of the ``Cluster`` interface :class:`CapacityIndex` reads,
+    over racks of arbitrary size (empty ones and long ones included) with
+    random availabilities."""
+
+    def __init__(self, rack_sizes, capacity, rng):
+        self.num_racks = len(rack_sizes)
+        racks = [rack for rack, size in enumerate(rack_sizes) for _ in range(size)]
+        self._boxes = [
+            SimpleNamespace(
+                box_id=pos,
+                rack_index=rack,
+                capacity_units=capacity,
+                avail_units=rng.randint(0, capacity),
+            )
+            for pos, rack in enumerate(racks)
+        ]
+
+    def pod_rack_ranges(self):
+        return ()
+
+    def boxes(self, rtype):
+        return self._boxes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fitting_boxes_in_rack_fold_matches_tree(seed):
+    """The fold over a rack's leaf slice lists exactly the tree's
+    ``positions_at_least`` boxes, for racks of any length."""
+    rng = random.Random(seed)
+    sizes = [0, 1, 2, 6, 32, 33, 0, 64, 3]
+    capacity = 16
+    index = CapacityIndex(_SpanCluster(sizes, capacity, rng))
+    tindex = index._types[ResourceType.CPU]
+    for rack_index in range(len(sizes)):
+        lo, hi = tindex.rack_spans[rack_index]
+        assert hi - lo == sizes[rack_index]
+        for units in range(capacity + 2):
+            want = [
+                tindex.boxes[p] for p in tindex.tree.positions_at_least(units, lo, hi)
+            ]
+            assert index.fitting_boxes_in_rack(ResourceType.CPU, units, rack_index) == want
 
 
 # --------------------------------------------------------------------- #
