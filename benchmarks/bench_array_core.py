@@ -2,16 +2,17 @@
 
 The struct-of-arrays backend (``REPRO_STATE_BACKEND=arrays``, the default)
 re-homes brick occupancy, box availability, link bandwidth, and gauge
-accumulators into flat numpy arrays.  Its payoff concentrates exactly where
-the paper's experiments live: a **saturated** cluster, where every arrival
-scans a deep placement frontier and the array-backed rack walks
-(``pool_racks_from``/``racks_with_box``, vectorized utilization reductions,
-whole-path link math) replace per-object python loops.
+accumulators into flat columns of Python scalars.  Its payoff concentrates
+exactly where the paper's experiments live: a **saturated** cluster, where
+every arrival would otherwise scan a deep placement frontier object by
+object: RISA's pool walk (``pool_racks_from``) reads the per-rack maxima
+columns, stopping at the first rack that commits, and ``racks_with_box``
+builds SUPER_RACK from one column.
 
 The gate: on a 128-rack cluster driven past capacity, the array backend
 must deliver **>= 3x** the end-to-end events/sec of the object backend for
 each rack-scale scheduler (RISA and RISA-BF — the schedulers whose
-saturated-frontier scans the arrays vectorize), while producing
+saturated-frontier scans the columns replace), while producing
 bit-identical event digests and summaries for all four.  NULB/NALB drop
 arrivals after an O(1) index probe, so neither backend does real work
 there; those runs are gated at parity (no worse than ``MIN_PARITY``) to
@@ -33,7 +34,7 @@ from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 from conftest import bench_quick
 
 #: Acceptance floor for array-over-object end-to-end event throughput on
-#: the rack-scale schedulers (whose saturated scans the arrays vectorize).
+#: the rack-scale schedulers (whose saturated scans the columns replace).
 MIN_ARRAY_SPEEDUP = 3.0
 
 #: Schedulers the >= 3x gate applies to.

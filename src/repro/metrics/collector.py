@@ -200,8 +200,9 @@ class MetricsCollector:
             buf[k + 2] = cluster.utilization(ResourceType.STORAGE)
             # Plain-float equality is safe here: utilizations are never
             # -0.0 (``used / cap`` and ``1.0 - avail / cap`` with
-            # non-negative operands) and NaN never enters a gauge.
-            if buf == self._bank.values_list():
+            # non-negative operands) and NaN never enters a gauge.  The
+            # bank's value column is a list, so this compares in place.
+            if buf == self._bank.value:
                 self._bank.advance_all(now)
             else:
                 self._bank.update_all(now, buf)
@@ -307,8 +308,8 @@ class MetricsCollector:
         simulator's batched release path from the exact same expressions
         :meth:`_sample_gauges` evaluates per event.  The bank replays the
         rows with the identical per-row change gate, so fold points (and
-        summary bits) match the scalar path; only the per-event numpy
-        dispatch cost is gone.  Requires the array gauge store.
+        summary bits) match the scalar path; only the per-event sampling
+        cost is gone.  Requires the array gauge store.
         """
         bank = self._bank
         if bank is None:

@@ -9,7 +9,7 @@ Two stores exist for the same accumulator semantics:
 * :class:`TimeWeightedGauge` — one gauge, plain python floats.  Optionally
   records a coalesced ``(time, value)`` history (``keep_records=True`` +
   :meth:`~TimeWeightedGauge.sample`).
-* :class:`GaugeBank` — a struct-of-arrays bank for gauges that always tick
+* :class:`GaugeBank` — parallel float lists for gauges that always tick
   together (the metrics collector's case).  Element ``i`` performs the
   identical IEEE-754 operation sequence as a standalone gauge, so both
   stores produce bit-identical snapshots.
@@ -247,16 +247,17 @@ class TimeWeightedGauge:
 
 
 class GaugeBank:
-    """A set of named time-weighted gauges stored as flat arrays.
+    """A set of named time-weighted gauges stored as parallel float lists.
 
     All gauges in a bank share every clock tick (the collector samples the
     whole set on each simulation event), so the fold clock stays in
     lockstep: one scalar ``_since`` mirrors the ``last_time`` column and one
     scalar ``_now`` is the shared pending clock.  An unchanged-value tick
-    (:meth:`advance_all`) is a scalar compare-and-store — no array op at
-    all — which is what makes drop-dominated runs cheap.  Snapshots
-    interchange with per-gauge :meth:`TimeWeightedGauge.snapshot` tuples
-    bit-for-bit.
+    (:meth:`advance_all`) is a scalar compare-and-store, which is what makes
+    drop-dominated runs cheap; a value-change barrier runs one per-gauge
+    fold loop over a handful of Python floats — cheaper than numpy dispatch
+    at this width.  Snapshots interchange with per-gauge
+    :meth:`TimeWeightedGauge.snapshot` tuples bit-for-bit.
     """
 
     __slots__ = (
@@ -275,11 +276,11 @@ class GaugeBank:
         self._since = 0.0  # scalar mirror of the (lockstep) last_time column
         self._lazy = lazy_gauges_enabled() if lazy is None else bool(lazy)
         n = len(self.names)
-        self.value = np.zeros(n, dtype=np.float64)
-        self.last_time = np.zeros(n, dtype=np.float64)
-        self.start_time = np.zeros(n, dtype=np.float64)
-        self.integral = np.zeros(n, dtype=np.float64)
-        self.peak = np.zeros(n, dtype=np.float64)
+        self.value = [0.0] * n
+        self.last_time = [0.0] * n
+        self.start_time = [0.0] * n
+        self.integral = [0.0] * n
+        self.peak = [0.0] * n
         # Eager (lazy-off) mode keeps a per-tick materialized running
         # integral — the pre-batching cost shape for A/B runs.  The folded
         # base above stays authoritative either way, so both modes are
@@ -290,8 +291,8 @@ class GaugeBank:
         """Advance every gauge's pending clock without folding.
 
         Lazy mode is two scalar ops; eager mode additionally materializes
-        the running-integral view (``folded + value * (now - since)``), the
-        per-event array cost this PR's batching removes.
+        the running-integral view (``folded + value * (now - since)``) as a
+        numpy array on every tick.
         """
         if now < self._now:
             raise SimulationError(
@@ -302,25 +303,39 @@ class GaugeBank:
             np.multiply(self.value, now - self._since, out=self._materialized)
             self._materialized += self.integral
 
-    def flush(self, now: float | None = None) -> None:
-        """Fold the pending interval into every integral (explicit barrier).
+    def _set_since(self, since: float) -> None:
+        self.last_time[:] = [since] * len(self.last_time)
+        self._since = since
 
-        With ``now`` given the pending clock advances there first.  The
-        zero-dt case (several events at one timestamp) skips the array work
-        outright; skipping is bit-exact: values and dt are non-negative, so
-        every integral stays ``+0.0``-signed and adding ``value * 0.0``
-        would change no bits.
-        """
-        if now is not None:
-            self.advance_all(now)
-        dt = self._now - self._since
-        if dt > 0.0:
-            self.integral += self.value * dt
-            self.last_time[:] = self._now
-            self._since = self._now
+    def _fold_rows(self, times, rows) -> None:
+        """The per-gauge fold loop: for each ``(t, row)`` in turn, fold the
+        pending interval up to ``t`` (``integral += value * dt``), then take
+        ``row`` as the new values and raise the peaks.  Every row is a fold
+        barrier; callers apply the change gate first.
+
+        A zero-dt row (several events at one timestamp) skips the fold;
+        that is bit-exact: values and dt are non-negative, so every
+        integral stays ``+0.0``-signed and adding ``value * 0.0`` would
+        change no bits."""
+        value = self.value
+        acc = self.integral
+        peak = self.peak
+        since = self._since
+        for t, row in zip(times, rows):
+            dt = t - since
+            if dt > 0.0:
+                for j, v in enumerate(value):
+                    acc[j] += v * dt
+                since = t
+            for j, x in enumerate(row):
+                value[j] = x
+                if x > peak[j]:
+                    peak[j] = x
+        if since != self._since:
+            self._set_since(since)
 
     def update_all(self, now: float, values) -> None:
-        """Fold the pending interval, then set every gauge's value (fused).
+        """Fold the pending interval, then set every gauge's value.
 
         ``values`` is any sequence of ``len(names)`` floats, in name order.
         This is the fold barrier; the collector only routes a sample here
@@ -328,10 +343,8 @@ class GaugeBank:
         :meth:`advance_all`), which is what pins the fold points — and so
         the summary bits — independently of any batching/laziness knob.
         """
-        self.flush(now)
-        v = self.value
-        v[:] = values
-        np.maximum(self.peak, v, out=self.peak)
+        self.advance_all(now)
+        self._fold_rows((now,), (values,))
 
     def update_all_batch(self, times, values) -> None:
         """Apply a run of consecutive samples in one call.
@@ -344,10 +357,8 @@ class GaugeBank:
             for t, row in zip(times, values):
                 advance_all(t) / update_all(t, row)   # by row != current
 
-        but runs as per-gauge python-scalar chains instead of one numpy
-        dispatch per event, which is ~3x cheaper for the collector's ~7
-        gauges.  The change gate is applied per row, exactly as the
-        collector would: an unchanged row only moves the pending clock.
+        The change gate is applied per row, exactly as the collector would:
+        an unchanged row only moves the pending clock.
         """
         n = len(times)
         if n == 0:
@@ -364,43 +375,27 @@ class GaugeBank:
                 raise SimulationError(
                     f"gauge batch times not sorted: {ts[i + 1]} < {ts[i]}"
                 )
-        g = len(self.names)
-        cur = self.value.tolist()
-        acc = self.integral.tolist()
-        pk = self.peak.tolist()
-        since = self._since
         rows = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        for i in range(n):
-            row = rows[i]
-            if row == cur:
-                continue  # unchanged tick: pending clock only
-            t = ts[i]
-            dt = t - since
-            if dt > 0.0:
-                for j in range(g):
-                    acc[j] += cur[j] * dt
-                since = t
-            for j in range(g):
-                x = row[j]
-                if x > pk[j]:
-                    pk[j] = x
-            cur = row
-        self.value[:] = cur
-        self.integral[:] = acc
-        self.peak[:] = pk
-        self.last_time[:] = since
-        self._since = since
+        changed_times: list[float] = []
+        changed_rows: list[list[float]] = []
+        cur = self.value
+        for t, row in zip(ts, rows):
+            if row != cur:
+                changed_times.append(t)
+                changed_rows.append(row)
+                cur = row
+        self._fold_rows(changed_times, changed_rows)
         self._now = ts[-1]
 
     def restart_all(self, now: float) -> None:
         """Reset every gauge to a zero signal opening at ``now``."""
-        self.value[:] = 0.0
-        self.last_time[:] = now
-        self.start_time[:] = now
-        self.integral[:] = 0.0
-        self.peak[:] = 0.0
+        n = len(self.names)
+        self.value[:] = [0.0] * n
+        self.start_time[:] = [now] * n
+        self.integral[:] = [0.0] * n
+        self.peak[:] = [0.0] * n
         self._now = now
-        self._since = now
+        self._set_since(now)
 
     def average(self, name: str) -> float:
         """Time-weighted average of one gauge up to the pending clock.
@@ -408,23 +403,23 @@ class GaugeBank:
         Non-committing: composes the folded base with the pending term on
         read (same expression as :meth:`TimeWeightedGauge.average`)."""
         i = self._index[name]
-        duration = self._now - float(self.start_time[i])
+        duration = self._now - self.start_time[i]
         if duration <= 0:
-            return float(self.value[i])
-        pending = float(self.value[i]) * (self._now - float(self.last_time[i]))
-        return (float(self.integral[i]) + pending) / duration
+            return self.value[i]
+        pending = self.value[i] * (self._now - self.last_time[i])
+        return (self.integral[i] + pending) / duration
 
     def peak_of(self, name: str) -> float:
         """Peak value of one gauge."""
-        return float(self.peak[self._index[name]])
+        return self.peak[self._index[name]]
 
     def value_of(self, name: str) -> float:
         """Current value of one gauge."""
-        return float(self.value[self._index[name]])
+        return self.value[self._index[name]]
 
     def values_list(self) -> list[float]:
-        """Every gauge's current value, in name order (plain floats)."""
-        return self.value.tolist()
+        """Every gauge's current value, in name order (a copy)."""
+        return list(self.value)
 
     # ------------------------------------------------------------------ #
     # Fork support
@@ -440,11 +435,11 @@ class GaugeBank:
             (
                 name,
                 (
-                    float(self.value[i]),
-                    float(self.last_time[i]),
-                    float(self.start_time[i]),
-                    float(self.integral[i]),
-                    float(self.peak[i]),
+                    self.value[i],
+                    self.last_time[i],
+                    self.start_time[i],
+                    self.integral[i],
+                    self.peak[i],
                     self._now,
                 ),
             )
@@ -461,20 +456,17 @@ class GaugeBank:
         Rebuilds the pending register exactly: the fold clock comes back
         from the ``last_time`` scalars and the pending clock from the sixth
         scalar, so a checkpoint taken mid-defer resumes without re-folding
-        or dropping the deferred interval.
+        or dropping the deferred interval.  Scalars are stored as Python
+        floats whatever type they arrive in.
         """
+        columns = (self.value, self.last_time, self.start_time, self.integral, self.peak)
         for i, (_, state) in enumerate(gauges):
-            (
-                self.value[i],
-                self.last_time[i],
-                self.start_time[i],
-                self.integral[i],
-                self.peak[i],
-            ) = state[:5]
+            for column, x in zip(columns, state[:5]):
+                column[i] = float(x)
         lt = self.last_time
-        if lt.size and not np.all(lt == lt[0]):
+        if any(t != lt[0] for t in lt):
             raise SimulationError("gauge bank clocks must move in lockstep")
-        self._since = float(lt[0]) if lt.size else 0.0
+        self._since = lt[0] if lt else 0.0
         nows = {float(state[5]) for _, state in gauges}
         if len(nows) > 1:
             raise SimulationError("gauge bank clocks must move in lockstep")

@@ -14,7 +14,7 @@ NALB's bandwidth sort keys O(1) reads.  ``REPRO_PLACEMENT_INDEX=naive``
 falls back to the original linear scans.
 
 Under the array state backend (:mod:`repro.state`) the used aggregate lives
-in the fabric's ``bundle_used`` array; binding swaps the instance's class to
+in the fabric's ``bundle_used`` column; binding swaps the instance's class to
 :class:`_ArrayBundle` (no new slots), so unbound bundles keep the plain
 attribute with zero overhead.
 """
@@ -66,7 +66,7 @@ class LinkBundle:
             link.bind_listener(self._on_link_change)
 
     def _bind_state(self, state, bidx: int) -> None:
-        """Re-home the used aggregate into the fabric's state arrays."""
+        """Re-home the used aggregate into the fabric's state columns."""
         state.bundle_used[bidx] = self._used_gbps
         self._state = state
         self._bidx = bidx
@@ -165,7 +165,7 @@ class LinkBundle:
 
 class _ArrayBundle(LinkBundle):
     """Array-bound view: the used aggregate lives in the fabric's
-    ``bundle_used`` array.  Vectorized path application
+    ``bundle_used`` column.  Path application
     (:class:`repro.state.FabricStateArrays`) bypasses the link listeners and
     updates the aggregates and trees itself; the listener here covers direct
     per-link mutations (rollback paths, tests)."""
@@ -179,8 +179,8 @@ class _ArrayBundle(LinkBundle):
 
     @property
     def used_gbps(self) -> float:
-        return float(self._state.bundle_used[self._bidx])
+        return self._state.bundle_used[self._bidx]
 
     @property
     def avail_gbps(self) -> float:
-        return self._capacity_gbps - float(self._state.bundle_used[self._bidx])
+        return self._capacity_gbps - self._state.bundle_used[self._bidx]

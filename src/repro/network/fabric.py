@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ..config import ClusterSpec, FabricTopology
 from ..errors import NetworkAllocationError, TopologyError
 from ..state import FabricStateArrays, arrays_enabled
@@ -390,8 +388,7 @@ class NetworkFabric:
         self._version += 1
         fa = self._state_arrays
         if fa is not None:
-            # One gathered clamp + scatter-add applies the whole path.
-            fa.reserve_path(chosen, demand_gbps, path.lca_level)
+            fa.reserve_path(chosen, demand_gbps)
         else:
             for link in chosen:
                 link.reserve(demand_gbps)
@@ -512,12 +509,12 @@ class NetworkFabric:
         Each link is rewritten through its public occupancy API, so bundle
         aggregates and free-link indexes rebuild as a side effect; the
         per-tier totals are then recomputed from the restored links.  The
-        array backend does the same with whole-array writes.
+        array backend does the same with whole-column writes.
         """
         self._version += 1
         fa = self._state_arrays
         if fa is not None:
-            if len(snap) != fa.link_used.shape[0]:
+            if len(snap) != len(fa.link_used):
                 raise TopologyError("snapshot shape does not match fabric")
             fa.bulk_restore_used(snap)
             return
@@ -757,7 +754,7 @@ class NetworkFabric:
         tier = self._tier_key(tier)
         fa = self._state_arrays
         if fa is not None:
-            return float(fa.tier_used[tier.level])
+            return fa.tier_used[tier.level]
         return self._tier_used[tier]
 
     def tier_utilization(self, tier: TierId) -> float:
@@ -767,7 +764,7 @@ class NetworkFabric:
         if cap == 0:
             return 0.0
         fa = self._state_arrays
-        used = float(fa.tier_used[tier.level]) if fa is not None else self._tier_used[tier]
+        used = fa.tier_used[tier.level] if fa is not None else self._tier_used[tier]
         return used / cap
 
     def tier_utilizations(self) -> dict[TierId, float]:

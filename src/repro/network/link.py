@@ -8,10 +8,10 @@ the hook :class:`~repro.network.bundle.LinkBundle` uses to keep its
 aggregates and free-link index incremental.
 
 Under the array state backend (:mod:`repro.state`) a link is a thin view:
-its used/capacity floats live in the fabric's flat per-link arrays (indexed
-by ``link_id``).  Binding swaps the instance's class to :class:`_ArrayLink`
-(no new slots, only overrides), so unbound links keep plain attributes with
-zero overhead.
+its used/capacity floats live in the fabric's flat per-link columns
+(indexed by ``link_id``).  Binding swaps the instance's class to
+:class:`_ArrayLink` (no new slots, only overrides), so unbound links keep
+plain attributes with zero overhead.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class Link:
         self._state = None
 
     def _bind_state(self, state) -> None:
-        """Re-home used/capacity into the fabric's state arrays."""
-        state.link_used[self.link_id] = self.used_gbps
-        state.link_capacity[self.link_id] = self.capacity_gbps
+        """Re-home used/capacity into the fabric's state columns."""
+        state.link_used[self.link_id] = float(self.used_gbps)
+        state.link_capacity[self.link_id] = float(self.capacity_gbps)
         self._state = state
         self.__class__ = _ArrayLink
 
@@ -135,7 +135,7 @@ class Link:
 
 class _ArrayLink(Link):
     """Array-bound view: used/capacity reads and writes go to the fabric's
-    per-link arrays.  The scalar mutators perform the identical IEEE-754
+    per-link columns.  The scalar mutators perform the identical IEEE-754
     operation sequence as the plain-attribute originals, so both backends
     produce bit-identical bandwidth trajectories."""
 
@@ -144,16 +144,16 @@ class _ArrayLink(Link):
     @property
     def capacity_gbps(self) -> float:
         """This link's capacity (resizable via what-if perturbations)."""
-        return float(self._state.link_capacity[self.link_id])
+        return self._state.link_capacity[self.link_id]
 
     @capacity_gbps.setter
     def capacity_gbps(self, value: float) -> None:
-        self._state.link_capacity[self.link_id] = value
+        self._state.link_capacity[self.link_id] = float(value)
 
     @property
     def used_gbps(self) -> float:
         """Bandwidth currently reserved on this link."""
-        return float(self._state.link_used[self.link_id])
+        return self._state.link_used[self.link_id]
 
     def reserve(self, demand_gbps: float) -> None:
         if demand_gbps < 0:
@@ -189,6 +189,7 @@ class _ArrayLink(Link):
                 f"link {self.link_id}: negative occupancy {used_gbps} Gb/s"
             )
         old = self.used_gbps
+        used_gbps = float(used_gbps)
         self._state.link_used[self.link_id] = used_gbps
         if self._on_change is not None and used_gbps != old:
             self._on_change(self, used_gbps - old)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..config import EnergyConfig
 from ..errors import SimulationError
 from ..network import Circuit
-from .switch_energy import path_switch_energy_j
+from .switch_energy import switch_reconfig_energy_j, switch_trim_power_w
 from .transceiver import transceiver_energy_j
 
 
@@ -35,18 +35,44 @@ class VMOpticalEnergy:
         return self.switch_energy_j + self.transceiver_energy_j
 
 
+#: Equation (1)'s lifetime-independent terms of every switch on a path:
+#: ``(reconfig_j, trim_w)`` per switch, keyed by the path's switch radices.
+SwitchTerms = dict[tuple[int, ...], tuple[tuple[float, float], ...]]
+
+
 def vm_optical_energy(
     vm_id: int,
     circuits: list[Circuit],
     lifetime_time_units: float,
     energy: EnergyConfig,
+    switch_terms: SwitchTerms | None = None,
 ) -> VMOpticalEnergy:
-    """Equation (1) plus transceiver energy over all of a VM's circuits."""
+    """Equation (1) plus transceiver energy over all of a VM's circuits.
+
+    Each switch costs ``reconfig + trim * lifetime`` with its two terms
+    looked up in ``switch_terms`` (filled on first use; a
+    :class:`PowerReport` passes its own, so a path's radices are priced
+    once per report).  That is the operation sequence of
+    :func:`~repro.photonics.switch_energy.switch_energy_j`, summed per
+    circuit like :func:`~repro.photonics.switch_energy.path_switch_energy_j`,
+    so the energies are bit-identical to pricing every switch afresh.
+    """
     lifetime_s = lifetime_time_units * energy.seconds_per_time_unit
+    if circuits and lifetime_s < 0:
+        raise ValueError(f"lifetime must be >= 0, got {lifetime_s}")
+    if switch_terms is None:
+        switch_terms = {}
     switch_j = 0.0
     tx_j = 0.0
     for circuit in circuits:
-        switch_j += path_switch_energy_j(circuit.switch_ports, lifetime_s, energy)
+        ports = circuit.switch_ports
+        terms = switch_terms.get(ports)
+        if terms is None:
+            terms = switch_terms[ports] = tuple(
+                (switch_reconfig_energy_j(p, energy), switch_trim_power_w(p, energy))
+                for p in ports
+            )
+        switch_j += sum(reconfig + trim * lifetime_s for reconfig, trim in terms)
         tx_j += transceiver_energy_j(
             circuit.demand_gbps, lifetime_s, circuit.hop_count, energy
         )
@@ -67,6 +93,12 @@ class PowerReport:
     switch_energy_j: float = 0.0
     transceiver_energy_j: float = 0.0
     per_vm: list[VMOpticalEnergy] = field(default_factory=list)
+    #: Per-path Equation (1) terms (see :func:`vm_optical_energy`); a pure
+    #: function of ``energy_config``, so snapshots never carry it.  Not an
+    #: ``lru_cache``: an :class:`EnergyConfig` holds a dict and is unhashable.
+    _switch_terms: SwitchTerms = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def total_energy_j(self) -> float:
@@ -84,7 +116,8 @@ class PowerReport:
     ) -> VMOpticalEnergy:
         """Compute and record one VM's optical energy."""
         entry = vm_optical_energy(
-            vm_id, circuits, lifetime_time_units, self.energy_config
+            vm_id, circuits, lifetime_time_units, self.energy_config,
+            self._switch_terms,
         )
         self.record(entry)
         return entry

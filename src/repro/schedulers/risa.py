@@ -109,8 +109,9 @@ class RISAScheduler(Scheduler):
         num_racks = cluster.num_racks
         state = cluster.state_arrays
         if state is not None and num_racks:
-            # One fused mask over the per-rack maxima replaces the per-rack
-            # can_host walk; the pool arrives already rotated to the cursor.
+            # A lazy round-robin walk over the per-rack maxima columns: pool
+            # members arrive in cursor order and the walk stops at the
+            # first rack that commits.
             pool = state.pool_racks_from(
                 units.cpu, units.ram, units.storage, self._cursor % num_racks
             )

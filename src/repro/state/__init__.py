@@ -2,8 +2,8 @@
 
 The hot quantities of a run — per-brick occupancy, per-box availability,
 per-rack maxima, per-link reserved bandwidth, per-tier totals — live in flat
-numpy arrays indexed by stable integer ids; ``Box``/``Brick``/``Link``/
-``LinkBundle`` become thin views over them.  ``REPRO_STATE_BACKEND=objects``
+columns (plain lists of Python ints and floats) indexed by stable integer
+ids; ``Box``/``Brick``/``Link``/``LinkBundle`` become thin views over them.  ``REPRO_STATE_BACKEND=objects``
 falls back to the original attribute-backed objects (the A/B lever the
 equivalence tests and ``benchmarks/bench_array_core.py`` use).
 """

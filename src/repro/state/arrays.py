@@ -1,9 +1,16 @@
-"""Struct-of-arrays state backend: flat numpy arrays behind the object views.
+"""Struct-of-arrays state backend: flat columns behind the object views.
+
+Every column is a plain Python list of ints (occupancy) or floats
+(bandwidth), so the per-VM path reads and writes native scalars — numpy
+element access costs several times a list index at the 2-6 elements a
+placement touches.  Python floats are IEEE-754 doubles, exactly like
+float64, so every accumulation here performs the identical operation
+sequence the object path performs and both backends stay bit-identical.
 
 Id-stability contract
 ---------------------
 
-The arrays are indexed by the integer ids the builders assign and never
+The columns are indexed by the integer ids the builders assign and never
 reshuffle:
 
 * **boxes** — per resource type, position order equals the rack-major
@@ -16,14 +23,14 @@ reshuffle:
 * **tiers** — ``TierId.level`` indexes the per-tier totals, leaf tier first.
 
 Topology never changes after construction, so these indices are stable for
-the lifetime of a run — snapshots, restores, and forks all reduce to array
+the lifetime of a run — snapshots, restores, and forks all reduce to column
 copies plus an O(n) rebuild of the derived aggregates.
 
 The backend is latched per object at *construction* time (like
 ``REPRO_PLACEMENT_INDEX``): wrap constructors in :func:`state_backend` to
 pin a mode.  All mutations still flow through the public ``Box``/``Link``
 APIs, whose listeners (``on_box_change``, bundle link listeners, capacity
-index updates) are fed from the array writes, so both backends produce
+index updates) are fed from the column writes, so both backends produce
 bit-identical event digests and summaries.
 """
 
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -103,11 +111,13 @@ def state_backend(mode: str) -> Iterator[None]:
 class ClusterStateArrays:
     """Flat occupancy state of one cluster: bricks, boxes, rack maxima.
 
-    One set of arrays per resource type, indexed by the type's position in
-    ``RESOURCE_ORDER``.  Bricks hold the authoritative occupancy; per-box
+    One list per resource type and column, indexed by the type's position
+    in ``RESOURCE_ORDER``.  Bricks hold the authoritative occupancy; per-box
     availability and per-rack maxima are derived and maintained
     incrementally through :meth:`apply_box_delta` (driven by the ``Box``
-    views).  Integer dtype throughout — unit accounting stays exact.
+    views).  Python ints throughout — unit accounting stays exact.  Every
+    column is mutated in place, never rebound: the brick views hold a
+    reference to their type's ``brick_used`` list.
     """
 
     __slots__ = (
@@ -118,8 +128,6 @@ class ClusterStateArrays:
         "box_capacity",
         "box_avail",
         "rack_spans",
-        "rack_offsets",
-        "rack_nonempty",
         "rack_max",
         "_box_meta",
         "_rows_by_type",
@@ -128,15 +136,13 @@ class ClusterStateArrays:
 
     def __init__(self, cluster: "Cluster") -> None:
         self.num_racks = cluster.num_racks
-        self.brick_used: list[np.ndarray] = []
-        self.brick_capacity: list[np.ndarray] = []
-        self.box_offsets: list[np.ndarray] = []
-        self.box_capacity: list[np.ndarray] = []
-        self.box_avail: list[np.ndarray] = []
+        self.brick_used: list[list[int]] = []
+        self.brick_capacity: list[list[int]] = []
+        self.box_offsets: list[list[int]] = []
+        self.box_capacity: list[list[int]] = []
+        self.box_avail: list[list[int]] = []
         self.rack_spans: list[list[tuple[int, int]]] = []
-        self.rack_offsets: list[np.ndarray] = []
-        self.rack_nonempty: list[bool] = []
-        self.rack_max: list[np.ndarray] = []
+        self.rack_max: list[list[int]] = []
         for tpos, rtype in enumerate(RESOURCE_ORDER):
             boxes = cluster.boxes(rtype)
             brick_caps: list[int] = []
@@ -147,12 +153,10 @@ class ClusterStateArrays:
                     brick_caps.append(brick.capacity_units)
                     brick_used.append(brick.used_units)
                 offsets.append(len(brick_caps))
-            self.brick_used.append(np.array(brick_used, dtype=np.int64))
-            self.brick_capacity.append(np.array(brick_caps, dtype=np.int64))
-            self.box_offsets.append(np.array(offsets, dtype=np.int64))
-            self.box_capacity.append(
-                np.array([b.capacity_units for b in boxes], dtype=np.int64)
-            )
+            self.brick_used.append(brick_used)
+            self.brick_capacity.append(brick_caps)
+            self.box_offsets.append(offsets)
+            self.box_capacity.append([b.capacity_units for b in boxes])
             spans: list[tuple[int, int]] = []
             cursor = 0
             for rack_index in range(self.num_racks):
@@ -161,16 +165,14 @@ class ClusterStateArrays:
                     cursor += 1
                 spans.append((start, cursor))
             self.rack_spans.append(spans)
-            self.rack_offsets.append(np.array([lo for lo, _ in spans], dtype=np.int64))
-            self.rack_nonempty.append(bool(boxes) and all(lo < hi for lo, hi in spans))
-            self.box_avail.append(np.zeros(len(boxes), dtype=np.int64))
-            self.rack_max.append(np.zeros(self.num_racks, dtype=np.int64))
-            # Bind the views: from here on the arrays are the authority.
+            self.box_avail.append([0] * len(boxes))
+            self.rack_max.append([0] * self.num_racks)
+            # Bind the views: from here on the columns are the authority.
             for pos, box in enumerate(boxes):
                 lo = offsets[pos]
                 box._bind_state(self, tpos, pos, lo)
                 for j, brick in enumerate(box.bricks):
-                    brick._bind_array(self.brick_used[tpos], lo + j)
+                    brick._bind_array(brick_used, lo + j)
             self._recompute_derived(tpos)
         # Snapshot metadata, in ascending box-id order (the snapshot order):
         # (box_id, type position, flat brick span, (brick index, cap) pairs).
@@ -183,8 +185,8 @@ class ClusterStateArrays:
             tpos = tpos_of[box.rtype]
             pos = pos_within[tpos]
             pos_within[tpos] = pos + 1
-            lo = int(self.box_offsets[tpos][pos])
-            hi = int(self.box_offsets[tpos][pos + 1])
+            lo = self.box_offsets[tpos][pos]
+            hi = self.box_offsets[tpos][pos + 1]
             caps = tuple((brick.index, brick.capacity_units) for brick in box.bricks)
             meta.append((bid, tpos, lo, hi, caps))
             rows_by_type[tpos].append(row)
@@ -201,27 +203,18 @@ class ClusterStateArrays:
     def _recompute_derived(self, tpos: int) -> None:
         """Rebuild per-box availability and rack maxima of one type (O(n))."""
         used = self.brick_used[tpos]
+        offsets = self.box_offsets[tpos]
         avail = self.box_avail[tpos]
-        if avail.shape[0]:
-            per_box = np.add.reduceat(used, self.box_offsets[tpos][:-1])
-            avail[:] = self.box_capacity[tpos] - per_box
-        self._recompute_rack_max(tpos)
-
-    def _recompute_rack_max(self, tpos: int) -> None:
-        avail = self.box_avail[tpos]
-        rm = self.rack_max[tpos]
-        if not rm.shape[0]:
-            return
-        if self.rack_nonempty[tpos]:
-            rm[:] = np.maximum.reduceat(avail, self.rack_offsets[tpos])
-        else:
-            rm[:] = [
-                int(avail[lo:hi].max()) if hi > lo else 0
-                for lo, hi in self.rack_spans[tpos]
-            ]
+        avail[:] = [
+            cap - sum(used[offsets[pos] : offsets[pos + 1]])
+            for pos, cap in enumerate(self.box_capacity[tpos])
+        ]
+        self.rack_max[tpos][:] = [
+            max(avail[lo:hi], default=0) for lo, hi in self.rack_spans[tpos]
+        ]
 
     def resync_from_bricks(self) -> None:
-        """Recompute every derived array from brick occupancy (defensive
+        """Recompute every derived column from brick occupancy (defensive
         bulk lever mirroring ``Cluster.rebuild_caches``)."""
         for tpos in range(len(RESOURCE_ORDER)):
             self._recompute_derived(tpos)
@@ -239,15 +232,13 @@ class ClusterStateArrays:
                 rm[rack_index] = new
         elif old == rm[rack_index]:
             lo, hi = self.rack_spans[tpos][rack_index]
-            m = avail[lo:hi].max()
-            if m != old:
-                rm[rack_index] = m
+            rm[rack_index] = max(avail[lo:hi])
 
     def _build_box_coords(self) -> dict[int, tuple[int, int, int, int]]:
         """Map box id -> (tpos, pos, brick_lo, rack_index) for batch scatter."""
         rack_of: list[list[int]] = []
         for tpos in range(len(RESOURCE_ORDER)):
-            per_pos = [0] * int(self.box_avail[tpos].shape[0])
+            per_pos = [0] * len(self.box_avail[tpos])
             for rack_index, (lo, hi) in enumerate(self.rack_spans[tpos]):
                 for pos in range(lo, hi):
                     per_pos[pos] = rack_index
@@ -264,16 +255,16 @@ class ClusterStateArrays:
     def apply_release_batch(
         self, allocations: Sequence
     ) -> tuple[list[int], list[dict[int, int]], list[int]]:
-        """Return a run of box allocations to the pool with fused scatters.
+        """Return a run of box allocations to the pool in one pass.
 
         ``allocations`` are :class:`~repro.topology.box.BoxAllocation`
-        receipts, in release order.  Brick occupancy and box availability
-        update via one ``np.subtract.at`` / ``np.add.at`` per resource type;
-        each touched rack's maximum is recomputed from its slice once at the
-        end — releases only *raise* availability, so the slice max equals
-        the value the per-event incremental chain would have left (integer
-        arithmetic, no rounding).  Validation is batched too, with full undo
-        before raising, so a rejected batch leaves the arrays untouched.
+        receipts, in release order.  Takes are summed per brick and per box
+        first and validated against the whole batch before anything is
+        written, so a rejected batch leaves the columns untouched.  Each
+        touched rack's maximum is then recomputed from its slice once —
+        releases only *raise* availability, so the slice max equals the
+        value the per-event incremental chain would have left (integer
+        arithmetic, no rounding).
 
         Returns ``(per-type released totals, per-type rack deltas, touched
         box ids in first-touch order)`` for the cluster layer to fold into
@@ -283,84 +274,85 @@ class ClusterStateArrays:
         if coords is None:
             coords = self._build_box_coords()
         num_types = len(RESOURCE_ORDER)
-        brick_idx: list[list[int]] = [[] for _ in range(num_types)]
-        brick_take: list[list[int]] = [[] for _ in range(num_types)]
-        box_pos: list[list[int]] = [[] for _ in range(num_types)]
-        box_units: list[list[int]] = [[] for _ in range(num_types)]
-        touched_boxes: dict[int, None] = {}
+        brick_takes: list[dict[int, int]] = [{} for _ in range(num_types)]
+        box_units: list[dict[int, int]] = [{} for _ in range(num_types)]
         rack_deltas: list[dict[int, int]] = [{} for _ in range(num_types)]
+        touched_boxes: dict[int, None] = {}
         for alloc in allocations:
             tpos, pos, lo, rack_index = coords[alloc.box_id]
+            takes = brick_takes[tpos]
             for brick_index, take in alloc.brick_slices:
-                brick_idx[tpos].append(lo + brick_index)
-                brick_take[tpos].append(take)
-            box_pos[tpos].append(pos)
-            box_units[tpos].append(alloc.units)
-            touched_boxes[alloc.box_id] = None
+                i = lo + brick_index
+                takes[i] = takes.get(i, 0) + take
+            units = box_units[tpos]
+            units[pos] = units.get(pos, 0) + alloc.units
             deltas = rack_deltas[tpos]
             deltas[rack_index] = deltas.get(rack_index, 0) + alloc.units
-        totals = [0] * num_types
+            touched_boxes[alloc.box_id] = None
         for tpos in range(num_types):
-            if not box_pos[tpos]:
-                continue
-            idx = np.array(brick_idx[tpos], dtype=np.int64)
-            take = np.array(brick_take[tpos], dtype=np.int64)
             used = self.brick_used[tpos]
-            np.subtract.at(used, idx, take)
-            if (used[idx] < 0).any():
-                np.add.at(used, idx, take)
+            if any(used[i] < take for i, take in brick_takes[tpos].items()):
                 raise CapacityError(
                     "batched release drove brick occupancy negative — "
                     "allocation receipts do not match current occupancy"
                 )
-            pos_arr = np.array(box_pos[tpos], dtype=np.int64)
-            units = np.array(box_units[tpos], dtype=np.int64)
             avail = self.box_avail[tpos]
-            np.add.at(avail, pos_arr, units)
-            if (avail[pos_arr] > self.box_capacity[tpos][pos_arr]).any():
-                np.subtract.at(avail, pos_arr, units)
-                np.add.at(used, idx, take)
+            caps = self.box_capacity[tpos]
+            if any(avail[p] + u > caps[p] for p, u in box_units[tpos].items()):
                 raise CapacityError(
                     "batched release overflowed a box's capacity — "
                     "allocation receipts do not match current occupancy"
                 )
-            totals[tpos] = int(units.sum())
+        totals = [0] * num_types
+        for tpos in range(num_types):
+            used = self.brick_used[tpos]
+            for i, take in brick_takes[tpos].items():
+                used[i] -= take
+            avail = self.box_avail[tpos]
+            for pos, units in box_units[tpos].items():
+                avail[pos] += units
+            totals[tpos] = sum(box_units[tpos].values())
             rack_max = self.rack_max[tpos]
             spans = self.rack_spans[tpos]
             for rack_index in rack_deltas[tpos]:
                 lo, hi = spans[rack_index]
-                rack_max[rack_index] = avail[lo:hi].max()
+                rack_max[rack_index] = max(avail[lo:hi])
         return totals, rack_deltas, list(touched_boxes)
 
     # ------------------------------------------------------------------ #
-    # Vectorized queries (RISA pool/super-rack, rack views)
+    # Rack-maxima queries (RISA pool/super-rack, rack views)
     # ------------------------------------------------------------------ #
 
     def pool_racks_from(
         self, cpu: int, ram: int, storage: int, cursor: int
-    ) -> list[int]:
-        """INTRA_RACK_POOL member racks in round-robin order from ``cursor``:
-        one fused mask over the per-rack maxima replaces the O(racks) scan."""
-        rm = self.rack_max
-        mask = (rm[0] >= cpu) & (rm[1] >= ram) & (rm[2] >= storage)
-        cand = np.flatnonzero(mask)
-        if not cand.size:
-            return []
-        if cursor:
-            split = int(np.searchsorted(cand, cursor))
-            if split:
-                cand = np.concatenate((cand[split:], cand[:split]))
-        return cand.tolist()
+    ) -> Iterator[int]:
+        """INTRA_RACK_POOL member racks in round-robin order from ``cursor``.
+
+        A lazy walk over the per-rack maxima — racks ``cursor..n-1``, then
+        ``0..cursor-1`` — so a caller that commits on the first member pays
+        for one rack test, not a whole-cluster mask.  Each rack is tested
+        when reached; that equals a mask taken up front because a pool rack
+        that fails to commit rolls its compute back exactly, leaving every
+        rack maximum as it was.
+        """
+        cpu_max, ram_max, storage_max = self.rack_max
+        for rack in chain(range(cursor, self.num_racks), range(cursor)):
+            if (
+                cpu_max[rack] >= cpu
+                and ram_max[rack] >= ram
+                and storage_max[rack] >= storage
+            ):
+                yield rack
 
     def racks_with_box(self, tpos: int, units: int) -> list[int]:
         """Racks holding at least one box of the type with ``units`` free
         (the SUPER_RACK membership test), in ascending order."""
-        return np.flatnonzero(self.rack_max[tpos] >= units).tolist()
+        return [rack for rack, m in enumerate(self.rack_max[tpos]) if m >= units]
 
     def rack_can_host(self, rack_index: int, cpu: int, ram: int, storage: int) -> bool:
-        """INTRA_RACK_POOL membership of one rack (three array reads)."""
+        """INTRA_RACK_POOL membership of one rack (three column reads)."""
         rm = self.rack_max
-        return bool(
+        return (
             rm[0][rack_index] >= cpu
             and rm[1][rack_index] >= ram
             and rm[2][rack_index] >= storage
@@ -368,30 +360,20 @@ class ClusterStateArrays:
 
     def rack_max_value(self, tpos: int, rack_index: int) -> int:
         """Largest single-box availability of one type in one rack."""
-        return int(self.rack_max[tpos][rack_index])
+        return self.rack_max[tpos][rack_index]
 
-    def rack_totals(self, tpos: int) -> np.ndarray:
+    def rack_totals(self, tpos: int) -> list[int]:
         """Per-rack summed availability of one type (bulk-restore refresh)."""
         avail = self.box_avail[tpos]
-        if not self.num_racks:
-            return np.zeros(0, dtype=np.int64)
-        if self.rack_nonempty[tpos]:
-            return np.add.reduceat(avail, self.rack_offsets[tpos])
-        return np.array(
-            [
-                int(avail[lo:hi].sum()) if hi > lo else 0
-                for lo, hi in self.rack_spans[tpos]
-            ],
-            dtype=np.int64,
-        )
+        return [sum(avail[lo:hi]) for lo, hi in self.rack_spans[tpos]]
 
     def type_totals(self) -> list[int]:
-        """Cluster-wide available units per type (array reductions)."""
-        return [int(avail.sum()) for avail in self.box_avail]
+        """Cluster-wide available units per type."""
+        return [sum(avail) for avail in self.box_avail]
 
     def avail_lists(self) -> list[list[int]]:
-        """Per-type box availability as plain lists (capacity-index reload)."""
-        return [avail.tolist() for avail in self.box_avail]
+        """Per-type box availability, copied (capacity-index reload)."""
+        return [list(avail) for avail in self.box_avail]
 
     # ------------------------------------------------------------------ #
     # Snapshots
@@ -400,19 +382,21 @@ class ClusterStateArrays:
     def snapshot_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Per-box per-brick occupancy in ascending box-id order — the same
         format ``Cluster.snapshot`` produces in object mode."""
-        flats = [used.tolist() for used in self.brick_used]
+        flats = self.brick_used
         return tuple(
             tuple(flats[tpos][lo:hi]) for _, tpos, lo, hi, _ in self._box_meta
         )
 
     def bulk_restore(self, snap: Sequence[Sequence[int]]) -> None:
-        """Restore occupancy captured by :meth:`snapshot_tuples` with bulk
-        array writes, then rebuild the derived aggregates.
+        """Restore occupancy captured by :meth:`snapshot_tuples` with whole-
+        column writes, then rebuild the derived aggregates.
 
         Validation is atomic — an invalid snapshot raises (with the same
         message the per-box object path produces for its first failure)
         before anything is written, whereas the object path mutates boxes up
         to the failing one.  Strictly safer; callers treat both as fatal.
+        Entries are stored as Python ints whatever scalar type they arrive
+        in.
         """
         meta = self._box_meta
         if len(snap) != len(meta):
@@ -420,15 +404,12 @@ class ClusterStateArrays:
         for (_, _, lo, hi, _), row in zip(meta, snap):
             if len(row) != hi - lo:
                 self._raise_first_violation(snap)
-        new_flats: list[np.ndarray] = []
+        new_flats: list[list[int]] = []
         for tpos in range(len(RESOURCE_ORDER)):
-            count = int(self.brick_used[tpos].shape[0])
-            flat = np.fromiter(
-                (u for row_i in self._rows_by_type[tpos] for u in snap[row_i]),
-                dtype=np.int64,
-                count=count,
-            )
-            if (flat < 0).any() or (flat > self.brick_capacity[tpos]).any():
+            flat = [int(u) for row_i in self._rows_by_type[tpos] for u in snap[row_i]]
+            if any(
+                u < 0 or u > cap for u, cap in zip(flat, self.brick_capacity[tpos])
+            ):
                 self._raise_first_violation(snap)
             new_flats.append(flat)
         for tpos, flat in enumerate(new_flats):
@@ -460,6 +441,7 @@ class FabricStateArrays:
     operation sequence the object path performs (per-tier totals get one
     scalar add per traversal — ``(a+d)+d != a+2d`` in IEEE 754 — and restore
     accumulation runs in link-id order), so both backends stay bit-identical.
+    Every column is a list of Python floats (``link_tier`` of ints).
     """
 
     __slots__ = (
@@ -470,7 +452,6 @@ class FabricStateArrays:
         "bundles",
         "link_bundle",
         "link_pos",
-        "link_bundle_arr",
         "bundle_used",
         "tier_used",
         "tier_capacity",
@@ -487,9 +468,9 @@ class FabricStateArrays:
                     "fabric link ids must be dense and in iteration order "
                     f"for the array backend (link {link.link_id} at slot {i})"
                 )
-        self.link_used = np.zeros(num_links, dtype=np.float64)
-        self.link_capacity = np.zeros(num_links, dtype=np.float64)
-        self.link_tier = np.array([l.tier.level for l in links], dtype=np.int64)
+        self.link_used = [0.0] * num_links
+        self.link_capacity = [0.0] * num_links
+        self.link_tier = [l.tier.level for l in links]
         bundles = []
         link_bundle = [0] * num_links
         link_pos = [0] * num_links
@@ -503,252 +484,173 @@ class FabricStateArrays:
         self.bundles = bundles
         self.link_bundle = link_bundle
         self.link_pos = link_pos
-        self.link_bundle_arr = np.array(link_bundle, dtype=np.int64)
-        self.bundle_used = np.zeros(len(bundles), dtype=np.float64)
-        self.tier_used = np.array(
-            [fabric.tier_used_gbps(t) for t in tiers], dtype=np.float64
-        )
-        self.tier_capacity = np.array(
-            [fabric.tier_capacity_gbps(t) for t in tiers], dtype=np.float64
-        )
-        # Bind the views: from here on the arrays are the authority.
+        self.bundle_used = [0.0] * len(bundles)
+        self.tier_used = [float(fabric.tier_used_gbps(t)) for t in tiers]
+        self.tier_capacity = [float(fabric.tier_capacity_gbps(t)) for t in tiers]
+        # Bind the views: from here on the columns are the authority.
         for link in links:
             link._bind_state(self)
         for bidx, bundle in enumerate(bundles):
             bundle._bind_state(self, bidx)
 
     # ------------------------------------------------------------------ #
-    # Vectorized path application
+    # Path application
     # ------------------------------------------------------------------ #
 
-    def _update_trees(self, ids: list[int], avails: list[float]) -> None:
-        """Refresh the bundles' free-link indexes for the touched links."""
-        link_bundle = self.link_bundle
-        link_pos = self.link_pos
-        bundles = self.bundles
-        for lid, avail in zip(ids, avails):
-            tree = bundles[link_bundle[lid]]._tree
-            if tree is not None:
-                tree.update(link_pos[lid], avail)
-
-    def reserve_path(self, links: Sequence["Link"], demand: float, lca: int) -> None:
-        """Reserve ``demand`` on every hop of a resolved path: one gathered
-        ``min(cap, used + d)`` over the chosen links, a scatter-add into the
-        bundle aggregates, and two vector passes over the climbed tiers.
+    def reserve_path(self, links: Sequence["Link"], demand: float) -> None:
+        """Reserve ``demand`` on every hop of a resolved path, maintaining
+        the bundle aggregates, per-tier totals and free-link trees as it
+        goes.
 
         The caller (``NetworkFabric.allocate_flow``) has already selected a
         fitting link per bundle, so no hop can fail; a path's links are all
-        distinct by construction.  Short paths (every path on fabrics up to
-        four tiers) take a scalar loop over the same arrays — the numpy call
-        overhead would dominate at 2-6 elements; both code paths perform the
-        identical IEEE-754 operation sequence.
+        distinct by construction.
         """
-        n = len(links)
-        if n <= 8:
-            lu = self.link_used
-            lc = self.link_capacity
-            bu = self.bundle_used
-            lb = self.link_bundle
-            lp = self.link_pos
-            bundles = self.bundles
-            tu = self.tier_used
-            for link in links:
-                lid = link.link_id
-                old = float(lu[lid])
-                new = min(float(lc[lid]), old + demand)
-                lu[lid] = new
-                b = lb[lid]
-                bu[b] += new - old
-                tu[link.tier.level] += demand
-                tree = bundles[b]._tree
-                if tree is not None:
-                    tree.update(lp[lid], float(lc[lid]) - new)
-            return
-        idx = np.fromiter((l.link_id for l in links), dtype=np.int64, count=n)
-        used = self.link_used
-        old = used[idx]
-        caps = self.link_capacity[idx]
-        new = np.minimum(caps, old + demand)
-        used[idx] = new
-        np.add.at(self.bundle_used, self.link_bundle_arr[idx], new - old)
-        tier_used = self.tier_used
-        tier_used[:lca] += demand
-        tier_used[:lca] += demand
-        self._update_trees([l.link_id for l in links], (caps - new).tolist())
+        lu = self.link_used
+        lc = self.link_capacity
+        bu = self.bundle_used
+        lb = self.link_bundle
+        lp = self.link_pos
+        bundles = self.bundles
+        tu = self.tier_used
+        for link in links:
+            lid = link.link_id
+            old = lu[lid]
+            cap = lc[lid]
+            new = min(cap, old + demand)
+            lu[lid] = new
+            b = lb[lid]
+            bu[b] += new - old
+            tu[link.tier.level] += demand
+            tree = bundles[b]._tree
+            if tree is not None:
+                tree.update(lp[lid], cap - new)
 
     def release_path(self, circuit: "Circuit") -> None:
         """Release a circuit: validate every hop and tier first (nothing is
-        freed on a rejected release), then apply one vectorized subtract.
-
-        Short paths take a scalar loop that ports the object path's
-        interleaved per-link validation verbatim onto the arrays."""
+        freed on a rejected release), then free each hop — the object path's
+        interleaved per-link validation, ported verbatim onto the columns."""
         links = circuit.links
         demand = circuit.demand_gbps
-        n = len(links)
-        if n <= 8:
-            lu = self.link_used
-            lc = self.link_capacity
-            bu = self.bundle_used
-            lb = self.link_bundle
-            lp = self.link_pos
-            bundles = self.bundles
-            tu = self.tier_used
-            tcap = self.tier_capacity
-            pending = tu.copy()
-            for link in links:
-                used = float(lu[link.link_id])
-                if demand > used + _BANDWIDTH_EPS:
-                    raise NetworkAllocationError(
-                        f"link {link.link_id}: freeing {demand} Gb/s but only "
-                        f"{used} Gb/s reserved — circuit released twice?"
-                    )
-                lvl = link.tier.level
-                remaining = float(pending[lvl]) - demand
-                if remaining < -_BANDWIDTH_EPS * max(1.0, float(tcap[lvl])):
-                    raise NetworkAllocationError(
-                        f"{link.tier.value} tier accounting underflow: "
-                        f"releasing {demand} Gb/s leaves {remaining} Gb/s "
-                        "reserved — circuit released twice?"
-                    )
-                pending[lvl] = remaining if remaining > 0 else 0.0
-            for link in links:
-                lid = link.link_id
-                old = float(lu[lid])
-                new = max(0.0, old - demand)
-                lu[lid] = new
-                b = lb[lid]
-                bu[b] += new - old
-                tree = bundles[b]._tree
-                if tree is not None:
-                    tree.update(lp[lid], float(lc[lid]) - new)
-            tu[:] = pending
-            return
-        idx = np.fromiter((l.link_id for l in links), dtype=np.int64, count=n)
-        used = self.link_used
-        old = used[idx]
-        bad = old + _BANDWIDTH_EPS < demand
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NetworkAllocationError(
-                f"link {links[k].link_id}: freeing {demand} Gb/s but only "
-                f"{float(old[k])} Gb/s reserved — circuit released twice?"
-            )
-        num_tiers = self.tier_used.shape[0]
-        counts = np.zeros(num_tiers, dtype=np.int64)
-        np.add.at(counts, self.link_tier[idx], 1)
+        lu = self.link_used
+        lc = self.link_capacity
+        bu = self.bundle_used
+        lb = self.link_bundle
+        lp = self.link_pos
+        bundles = self.bundles
+        tcap = self.tier_capacity
         pending = self.tier_used.copy()
-        floor = -_BANDWIDTH_EPS * np.maximum(1.0, self.tier_capacity)
-        # A path crosses each climbed tier once per traversal direction; the
-        # object path subtracts and clamps per link, so replay the same
-        # subtract/clamp sequence per tier (ascending first, then the
-        # descending return leg).
-        for step in range(int(counts.max()) if n else 0):
-            active = np.flatnonzero(counts > step)
-            rem = pending[active] - demand
-            viol = np.flatnonzero(rem < floor[active])
-            if viol.size:
-                t_bad = int(active[viol[0] if step == 0 else viol[-1]])
+        for link in links:
+            used = lu[link.link_id]
+            if demand > used + _BANDWIDTH_EPS:
                 raise NetworkAllocationError(
-                    f"{self.tiers[t_bad].value} tier accounting underflow: "
-                    f"releasing {demand} Gb/s leaves "
-                    f"{float(pending[t_bad] - demand)} Gb/s reserved — "
-                    "circuit released twice?"
+                    f"link {link.link_id}: freeing {demand} Gb/s but only "
+                    f"{used} Gb/s reserved — circuit released twice?"
                 )
-            pending[active] = np.where(rem > 0, rem, 0.0)
-        new = np.maximum(0.0, old - demand)
-        used[idx] = new
-        np.add.at(self.bundle_used, self.link_bundle_arr[idx], new - old)
+            lvl = link.tier.level
+            remaining = pending[lvl] - demand
+            if remaining < -_BANDWIDTH_EPS * max(1.0, tcap[lvl]):
+                raise NetworkAllocationError(
+                    f"{link.tier.value} tier accounting underflow: "
+                    f"releasing {demand} Gb/s leaves {remaining} Gb/s "
+                    "reserved — circuit released twice?"
+                )
+            pending[lvl] = remaining if remaining > 0 else 0.0
+        for link in links:
+            lid = link.link_id
+            old = lu[lid]
+            new = max(0.0, old - demand)
+            lu[lid] = new
+            b = lb[lid]
+            bu[b] += new - old
+            tree = bundles[b]._tree
+            if tree is not None:
+                tree.update(lp[lid], lc[lid] - new)
         self.tier_used[:] = pending
-        self._update_trees(
-            [l.link_id for l in links], (self.link_capacity[idx] - new).tolist()
-        )
 
     def release_groups_deferred(
         self, groups: Sequence[Sequence["Circuit"]]
     ) -> np.ndarray:
-        """Release a run of departures' circuits with batch-local state.
+        """Release a run of departures' circuits with deferred tree upkeep.
 
         ``groups`` holds one circuit sequence per departing VM, in event
         order.  Every per-link/per-tier float chain replays the exact
-        operation sequence of :meth:`release_path`'s scalar branch — same
-        values, same order, so the result is bit-identical to sequential
-        per-event releases — but the chains run on *python* floats pulled
-        lazily from the arrays once per touched link/bundle and written
-        back once at the end (python and numpy float64 arithmetic are both
-        IEEE-754 double, so the grouping is all that matters and it is
-        unchanged).  That drops the per-event numpy scalar-indexing
-        overhead the release path otherwise pays ~10x per hop.  The
-        bundles' free-link trees — consulted only during scheduling, which
-        cannot interleave with a departure batch — settle once at the end
-        from the same ``capacity - used`` values the last per-event update
-        would have written.
+        operation sequence of :meth:`release_path` — same values, same
+        order, so the result is bit-identical to sequential per-event
+        releases.  The bundles' free-link trees — consulted only during
+        scheduling, which cannot interleave with a departure batch — settle
+        once at the end from the same ``capacity - used`` values the last
+        per-event update would have written.
 
         Returns a ``(len(groups), num_tiers)`` float64 matrix: row ``i`` is
         the per-tier reserved bandwidth after departure ``i``.  Validation
-        failures raise before any write-back, leaving the arrays untouched
-        (strictly safer than the per-event path's partial application;
-        callers treat both as fatal).
+        failures undo every link and bundle write of the batch and leave the
+        tier totals unwritten before raising, so a rejected batch leaves the
+        columns untouched (strictly safer than the per-event path's partial
+        application; callers treat both as fatal).
         """
         lu = self.link_used
         bu = self.bundle_used
         lb = self.link_bundle
-        tu_list = self.tier_used.tolist()
-        tcap_list = self.tier_capacity.tolist()
-        rows = np.empty((len(groups), len(tu_list)), dtype=np.float64)
-        used_local: dict[int, float] = {}
-        bundle_local: dict[int, float] = {}
-        for i, circuits in enumerate(groups):
-            for circuit in circuits:
-                demand = circuit.demand_gbps
-                links = circuit.links
-                pending = tu_list.copy()
-                for link in links:
-                    lid = link.link_id
-                    used = used_local.get(lid)
-                    if used is None:
-                        used = float(lu[lid])
-                    if demand > used + _BANDWIDTH_EPS:
-                        raise NetworkAllocationError(
-                            f"link {lid}: freeing {demand} Gb/s but only "
-                            f"{used} Gb/s reserved — circuit released twice?"
-                        )
-                    lvl = link.tier.level
-                    remaining = pending[lvl] - demand
-                    if remaining < -_BANDWIDTH_EPS * max(1.0, tcap_list[lvl]):
-                        raise NetworkAllocationError(
-                            f"{link.tier.value} tier accounting underflow: "
-                            f"releasing {demand} Gb/s leaves {remaining} Gb/s "
-                            "reserved — circuit released twice?"
-                        )
-                    pending[lvl] = remaining if remaining > 0 else 0.0
-                for link in links:
-                    lid = link.link_id
-                    old = used_local.get(lid)
-                    if old is None:
-                        old = float(lu[lid])
-                    new = old - demand
-                    if new < 0.0:
-                        new = 0.0
-                    used_local[lid] = new
-                    b = lb[lid]
-                    cur = bundle_local.get(b)
-                    if cur is None:
-                        cur = float(bu[b])
-                    bundle_local[b] = cur + (new - old)
-                tu_list = pending
-            rows[i] = tu_list
-        if used_local:
-            ids = list(used_local)
-            lu[ids] = list(used_local.values())
-            bu[list(bundle_local)] = list(bundle_local.values())
-            self.tier_used[:] = tu_list
-            lc = self.link_capacity
-            lp = self.link_pos
-            bundles = self.bundles
-            for lid, used in used_local.items():
-                tree = bundles[lb[lid]]._tree
-                if tree is not None:
-                    tree.update(lp[lid], float(lc[lid]) - used)
+        tcap = self.tier_capacity
+        tiers = self.tier_used.copy()
+        rows = np.empty((len(groups), len(tiers)), dtype=np.float64)
+        # Pre-batch values of every touched link/bundle: the undo log, and
+        # the set of links whose free-link tree entry must settle.
+        link_before: dict[int, float] = {}
+        bundle_before: dict[int, float] = {}
+        try:
+            for i, circuits in enumerate(groups):
+                for circuit in circuits:
+                    demand = circuit.demand_gbps
+                    links = circuit.links
+                    pending = tiers.copy()
+                    for link in links:
+                        lid = link.link_id
+                        used = lu[lid]
+                        if demand > used + _BANDWIDTH_EPS:
+                            raise NetworkAllocationError(
+                                f"link {lid}: freeing {demand} Gb/s but only "
+                                f"{used} Gb/s reserved — circuit released twice?"
+                            )
+                        lvl = link.tier.level
+                        remaining = pending[lvl] - demand
+                        if remaining < -_BANDWIDTH_EPS * max(1.0, tcap[lvl]):
+                            raise NetworkAllocationError(
+                                f"{link.tier.value} tier accounting underflow: "
+                                f"releasing {demand} Gb/s leaves {remaining} "
+                                "Gb/s reserved — circuit released twice?"
+                            )
+                        pending[lvl] = remaining if remaining > 0 else 0.0
+                    for link in links:
+                        lid = link.link_id
+                        old = lu[lid]
+                        if lid not in link_before:
+                            link_before[lid] = old
+                        new = old - demand
+                        if new < 0.0:
+                            new = 0.0
+                        lu[lid] = new
+                        b = lb[lid]
+                        if b not in bundle_before:
+                            bundle_before[b] = bu[b]
+                        bu[b] += new - old
+                    tiers = pending
+                rows[i] = tiers
+        except NetworkAllocationError:
+            for lid, used in link_before.items():
+                lu[lid] = used
+            for b, used in bundle_before.items():
+                bu[b] = used
+            raise
+        self.tier_used[:] = tiers
+        lc = self.link_capacity
+        lp = self.link_pos
+        bundles = self.bundles
+        for lid in link_before:
+            tree = bundles[lb[lid]]._tree
+            if tree is not None:
+                tree.update(lp[lid], lc[lid] - lu[lid])
         return rows
 
     # ------------------------------------------------------------------ #
@@ -757,39 +659,49 @@ class FabricStateArrays:
 
     def used_tuple(self) -> tuple[float, ...]:
         """Per-link reserved bandwidth in link-id order."""
-        return tuple(self.link_used.tolist())
+        return tuple(self.link_used)
 
     def capacity_tuple(self) -> tuple[float, ...]:
         """Per-link capacity in link-id order."""
-        return tuple(self.link_capacity.tolist())
+        return tuple(self.link_capacity)
 
     def bulk_restore_used(self, snap: Sequence[float]) -> None:
-        """Restore per-link reserved bandwidth with one array write, feeding
-        each changed link's delta to its bundle aggregate (in link-id order,
+        """Restore per-link reserved bandwidth, feeding each changed link's
+        delta to its bundle aggregate and free-link tree (in link-id order,
         matching the object path's listener sequence) and recomputing the
-        per-tier totals by sequential accumulation in link-id order."""
-        arr = np.asarray(snap, dtype=np.float64)
-        neg = arr < 0
-        if neg.any():
-            k = int(np.argmax(neg))
-            raise NetworkAllocationError(
-                f"link {k}: negative occupancy {float(arr[k])} Gb/s"
-            )
-        old = self.link_used
-        delta = arr - old
-        changed = np.flatnonzero(delta != 0.0)
-        self.link_used[:] = arr
-        if changed.size:
-            np.add.at(self.bundle_used, self.link_bundle_arr[changed], delta[changed])
-            self._update_trees(
-                changed.tolist(),
-                (self.link_capacity[changed] - arr[changed]).tolist(),
-            )
-        acc = np.zeros_like(self.tier_used)
-        np.add.at(acc, self.link_tier, self.link_used)
-        self.tier_used[:] = acc
+        per-tier totals by sequential accumulation in link-id order.
+
+        Validation (no negative occupancy) runs before anything is written;
+        entries are stored as Python floats whatever scalar type they arrive
+        in.
+        """
+        new_used = [float(u) for u in snap]
+        for lid, used in enumerate(new_used):
+            if used < 0:
+                raise NetworkAllocationError(
+                    f"link {lid}: negative occupancy {used} Gb/s"
+                )
+        lu = self.link_used
+        lc = self.link_capacity
+        bu = self.bundle_used
+        lb = self.link_bundle
+        lp = self.link_pos
+        bundles = self.bundles
+        for lid, (new, old) in enumerate(zip(new_used, lu)):
+            delta = new - old
+            if delta != 0.0:
+                b = lb[lid]
+                bu[b] += delta
+                tree = bundles[b]._tree
+                if tree is not None:
+                    tree.update(lp[lid], lc[lid] - new)
+        lu[:] = new_used
+        tiers = [0.0] * len(self.tier_used)
+        for level, used in zip(self.link_tier, new_used):
+            tiers[level] += used
+        self.tier_used[:] = tiers
 
     def refresh_tier_capacities(self, capacities: Sequence[float]) -> None:
         """Mirror the fabric's per-tier capacity totals after a perturbation
         (``scale_tier_capacity`` / ``restore_capacities``)."""
-        self.tier_capacity[:] = capacities
+        self.tier_capacity[:] = [float(c) for c in capacities]

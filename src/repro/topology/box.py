@@ -6,8 +6,8 @@ per-brick occupancy, and notifies its parent rack/cluster so their cached
 aggregates stay O(1) to read.
 
 Under the array state backend (:mod:`repro.state`) a box is a thin view:
-its availability lives in the cluster's per-type ``box_avail`` array and its
-brick occupancy in one contiguous span of the flat ``brick_used`` array.
+its availability lives in the cluster's per-type ``box_avail`` column and
+its brick occupancy in one contiguous span of the flat ``brick_used`` column.
 Binding swaps the instance's class to :class:`_ArrayBox` (no new slots, only
 overrides), so unbound boxes — hand-built in tests, or under
 ``REPRO_STATE_BACKEND=objects`` — run the original plain-attribute code with
@@ -98,11 +98,11 @@ class Box:
     # ------------------------------------------------------------------ #
 
     def _bind_state(self, state, tpos: int, pos: int, brick_lo: int) -> None:
-        """Re-home availability into the cluster's state arrays.
+        """Re-home availability into the cluster's state columns.
 
         ``state.box_avail[tpos][pos]`` becomes the authority for this box's
         availability; ``brick_lo`` is the box's first slot in the flat brick
-        occupancy array (the bricks are bound separately).
+        occupancy column (the bricks are bound separately).
         """
         self._state = state
         self._tpos = tpos
@@ -221,7 +221,7 @@ class Box:
 
 class _ArrayBox(Box):
     """Array-bound view: availability and brick occupancy live in the
-    cluster's state arrays; mutations commit through
+    cluster's state columns; mutations commit through
     :meth:`repro.state.ClusterStateArrays.apply_box_delta` so the per-rack
     maxima and totals stay coherent."""
 
@@ -229,14 +229,14 @@ class _ArrayBox(Box):
 
     @property
     def used_units(self) -> int:
-        return self.capacity_units - int(self._state.box_avail[self._tpos][self._pos])
+        return self.capacity_units - self._state.box_avail[self._tpos][self._pos]
 
     @property
     def avail_units(self) -> int:
-        return int(self._state.box_avail[self._tpos][self._pos])
+        return self._state.box_avail[self._tpos][self._pos]
 
     def _apply_delta(self, delta: int) -> None:
-        """Commit an availability change (positive = release) to the arrays."""
+        """Commit an availability change (positive = release) to the columns."""
         self._state.apply_box_delta(self._tpos, self._pos, self.rack_index, delta)
 
     def allocate(self, units: int) -> BoxAllocation:
@@ -249,22 +249,18 @@ class _ArrayBox(Box):
             )
         remaining = units
         slices: list[tuple[int, int]] = []
-        # First-fit over one plain-int copy of the brick row, committed with
-        # a single slice write — per-brick array scalar ops would dominate
-        # the placement hot path.
-        arr = self._state.brick_used[self._tpos]
-        lo = self._brick_lo
-        hi = lo + len(self.bricks)
-        row = arr[lo:hi].tolist()
-        for j, brick in enumerate(self.bricks):
+        # First-fit straight over the box's span of the brick column.
+        used = self._state.brick_used[self._tpos]
+        i = self._brick_lo
+        for brick in self.bricks:
             if remaining == 0:
                 break
-            take = min(remaining, brick.capacity_units - row[j])
+            take = min(remaining, brick.capacity_units - used[i])
             if take > 0:
-                row[j] += take
+                used[i] += take
                 slices.append((brick.index, take))
                 remaining -= take
-        arr[lo:hi] = row
+            i += 1
         assert remaining == 0, "box/brick accounting diverged"
         delta = -units
         self._apply_delta(delta)
@@ -288,25 +284,28 @@ class _ArrayBox(Box):
                 f"box {self.box_id}: releasing {allocation.units} units but "
                 f"only {self.used_units} in use"
             )
-        arr = self._state.brick_used[self._tpos]
+        # Index a slice of the box's own bricks, never the whole column: a
+        # receipt's brick index then resolves exactly as ``self.bricks``
+        # would resolve it in the object path.
+        column = self._state.brick_used[self._tpos]
         lo = self._brick_lo
         hi = lo + len(self.bricks)
-        row = arr[lo:hi].tolist()
+        row = column[lo:hi]
         for brick_index, take in allocation.brick_slices:
             # Mirror Brick.release exactly, including partial application
             # before a failing slice surfaces.
             if take < 0:
-                arr[lo:hi] = row
+                column[lo:hi] = row
                 raise CapacityError(f"cannot release negative units: {take}")
             used = row[brick_index]
             if take > used:
-                arr[lo:hi] = row
+                column[lo:hi] = row
                 raise CapacityError(
                     f"brick {self.bricks[brick_index].index}: releasing "
                     f"{take} units but only {used} in use"
                 )
             row[brick_index] = used - take
-        arr[lo:hi] = row
+        column[lo:hi] = row
         self._apply_delta(allocation.units)
         if self._on_change is not None:
             self._on_change(self, allocation.units)
@@ -315,8 +314,9 @@ class _ArrayBox(Box):
         self._validate_occupancy(brick_used)
         old_used = self.used_units
         lo = self._brick_lo
-        self._state.brick_used[self._tpos][lo : lo + len(self.bricks)] = brick_used
-        delta = old_used - sum(brick_used)
+        row = [int(u) for u in brick_used]
+        self._state.brick_used[self._tpos][lo : lo + len(row)] = row
+        delta = old_used - sum(row)
         if delta != 0:
             self._apply_delta(delta)
             if self._on_change is not None:

@@ -9,7 +9,7 @@ scheduling decisions (documented in DESIGN.md Section 5).
 
 Under the array state backend (:mod:`repro.state`) a brick is a thin view:
 its occupancy lives in one slot of the cluster's flat per-type occupancy
-array.  Binding swaps the instance's class to :class:`_ArrayBrick` — which
+column (a list of ints).  Binding swaps the instance's class to :class:`_ArrayBrick` — which
 adds no slots, only property overrides — so unbound bricks (hand-built in
 tests, or under ``REPRO_STATE_BACKEND=objects``) pay zero overhead: their
 ``used_units`` stays a plain slot attribute.
@@ -40,7 +40,7 @@ class Brick:
         self._arr = None
         self._aidx = 0
 
-    def _bind_array(self, arr, aidx: int) -> None:
+    def _bind_array(self, arr: list[int], aidx: int) -> None:
         """Re-home occupancy into ``arr[aidx]`` (array-backend wiring)."""
         arr[aidx] = self.used_units
         self._arr = arr
@@ -84,13 +84,13 @@ class Brick:
 
 
 class _ArrayBrick(Brick):
-    """Array-bound view: occupancy reads/writes go to the cluster array."""
+    """Array-bound view: occupancy reads/writes go to the cluster column."""
 
     __slots__ = ()
 
     @property
     def used_units(self) -> int:
-        return int(self._arr[self._aidx])
+        return self._arr[self._aidx]
 
     @used_units.setter
     def used_units(self, value: int) -> None:

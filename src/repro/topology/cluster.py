@@ -371,8 +371,7 @@ class Cluster:
             totals = sa.type_totals()
             for tpos, rtype in enumerate(RESOURCE_ORDER):
                 self._total_avail[rtype] = totals[tpos]
-                rack_totals = sa.rack_totals(tpos).tolist()
-                for rack, total in zip(self.racks, rack_totals):
+                for rack, total in zip(self.racks, sa.rack_totals(tpos)):
                     rack._total_avail[rtype] = total
             if self._capacity_index is not None:
                 self._capacity_index.reload(sa.avail_lists())

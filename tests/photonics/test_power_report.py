@@ -1,10 +1,13 @@
 """Tests for workload-level optical power aggregation."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.config import EnergyConfig, tiny_test
+from repro.config import PRESETS, EnergyConfig, tiny_test
 from repro.network import NetworkFabric
-from repro.photonics import PowerReport, vm_optical_energy
+from repro.photonics import PowerReport, path_switch_energy_j, vm_optical_energy
 from repro.topology import build_cluster
 from repro.types import ResourceType
 
@@ -76,3 +79,51 @@ def test_seconds_per_time_unit_scaling(circuits):
     slow.record_vm(0, [intra], 10.0)
     # Longer real-time lifetime -> more trim/transceiver energy.
     assert slow.total_energy_j > fast.total_energy_j
+
+
+def preset_paths(spec):
+    """Every switch-radix path a preset's fabric can resolve (one per LCA
+    level), built the way ``NetworkFabric.resolve_path`` builds them."""
+    topo = spec.network.fabric_topology()
+    paths = []
+    for lca in range(1, topo.num_tiers + 1):
+        up = [topo.switch_ports_at(level) for level in range(lca + 1)]
+        paths.append((*up, *up[-2::-1]))
+    return paths
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_memoized_equation_1_is_bit_identical(preset):
+    """The per-report memo prices every switch as ``reconfig + trim * T``:
+    the same float operations, in the same order, as Equation (1) evaluated
+    afresh — so per-VM and accumulated energies match bit for bit."""
+    spec = PRESETS[preset]()
+    energy = spec.energy
+    paths = preset_paths(spec)
+    rng = random.Random(preset)
+    report = PowerReport(energy_config=energy)
+    expected_total = 0.0
+    for vm_id in range(60):
+        circuits = [
+            SimpleNamespace(
+                switch_ports=rng.choice(paths), demand_gbps=10.0, hop_count=2
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        lifetime = rng.choice((0.0, rng.uniform(0.0, 1.0), rng.expovariate(1e-3)))
+        lifetime_s = lifetime * energy.seconds_per_time_unit
+        expected = 0.0
+        for circuit in circuits:
+            expected += path_switch_energy_j(circuit.switch_ports, lifetime_s, energy)
+        entry = report.record_vm(vm_id, circuits, lifetime)
+        assert entry.switch_energy_j == expected
+        assert vm_optical_energy(vm_id, circuits, lifetime, energy).switch_energy_j == expected
+        expected_total += expected
+    assert report.switch_energy_j == expected_total
+
+
+def test_negative_lifetime_rejected_by_report(circuits):
+    intra, _ = circuits
+    report = PowerReport(energy_config=EnergyConfig())
+    with pytest.raises(ValueError):
+        report.record_vm(0, [intra], -1.0)

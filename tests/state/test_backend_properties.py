@@ -163,3 +163,63 @@ def test_restore_after_fork_divergence():
     """Two checkpoints, interleaved restores: the array backend's bulk
     restore must rebuild rack maxima and index answers exactly."""
     random_walk(seed=99, steps=120)
+
+
+def assert_native_columns(sim):
+    """Every state and gauge column is a list of native Python scalars —
+    ints for occupancy, floats for bandwidth and gauges.  ``np.float64``
+    subclasses ``float``, hence the exact ``type`` checks."""
+    sa = sim.cluster.state_arrays
+    fa = sim.fabric.state_arrays
+    bank = sim.collector._bank
+    int_columns = [
+        *sa.brick_used, *sa.brick_capacity, *sa.box_offsets, *sa.box_capacity,
+        *sa.box_avail, *sa.rack_max, fa.link_tier,
+    ]
+    float_columns = [
+        fa.link_used, fa.link_capacity, fa.bundle_used, fa.tier_used,
+        fa.tier_capacity, bank.value, bank.last_time, bank.start_time,
+        bank.integral, bank.peak,
+    ]
+    for column in int_columns:
+        assert type(column) is list
+        assert all(type(x) is int for x in column)
+    for column in float_columns:
+        assert type(column) is list
+        assert all(type(x) is float for x in column)
+
+
+def test_no_numpy_scalar_reenters_state_core(monkeypatch):
+    """Batched departures, checkpoint/restore, a fork, a tier rescale and a
+    link fault all write back native scalars: a numpy scalar in a column
+    would silently slow every later per-VM read and write."""
+    from repro.topology import Cluster
+    from repro.workloads import SyntheticWorkloadParams, TraceColumns, generate_synthetic
+
+    batch_sizes = []
+    apply_release_batch = Cluster.apply_release_batch
+
+    def counting(self, allocations):
+        batch_sizes.append(len(allocations))
+        return apply_release_batch(self, allocations)
+
+    monkeypatch.setattr(Cluster, "apply_release_batch", counting)
+    vms = generate_synthetic(SyntheticWorkloadParams(count=240), seed=1)
+    times = sorted(vm.arrival for vm in vms)
+    sim = DDCSimulator(tiny_test(), "risa", engine="flat")
+    sim.start_run(TraceColumns.from_vms(vms))
+    sim.advance(until=times[len(times) // 2])
+    assert_native_columns(sim)
+    checkpoint = sim.full_checkpoint()
+    sim.fabric.scale_tier_capacity(-1, 0.5)
+    sim.fabric.fail_links(-1, 0, count=1)
+    sim.advance(until=times[3 * len(times) // 4])
+    assert_native_columns(sim)
+    child = sim.fork()
+    child.finish()
+    assert_native_columns(child)
+    sim.restore_run(checkpoint)
+    assert_native_columns(sim)
+    sim.finish()
+    assert_native_columns(sim)
+    assert batch_sizes  # the fused departure path ran
