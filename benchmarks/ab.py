@@ -2,16 +2,21 @@
 """Paired A/B of the end-to-end benchmark: a git revision against the worktree.
 
     python benchmarks/ab.py --parent HEAD~1 --workload paper18_mix --seed 0 --pairs 10
+    python benchmarks/ab.py --aa --workload sat128_churn --seed 0 --pairs 10
 
 The parent side is materialised with ``git archive REV | tar -x`` into a
-temporary directory; the change side is the worktree.  Each pair runs one
+temporary directory; the change side is the worktree.  ``--aa`` runs the
+worktree against itself (no archive): an A/A run whose table shows how far
+two identical trees drift apart on this host right now.  Each pair runs one
 ``benchmarks/e2e/run.py --workload W --seed N --trace 0`` pass per side, each
 in a fresh interpreter from that side's own tree, alternating which side goes
 first so slow drift on the host lands on both sides equally.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both medians
-with quartiles, the median change, and how many of the K pairs the change
-won in the metric's ``better`` direction.  A gain is marked ``resolved`` only
+with quartiles, the median change, the parent's spread (interquartile range
+over median — under ``--aa``, the host's current noise), and how many of the
+K pairs the change won in the metric's ``better`` direction.  A gain is
+marked ``resolved`` only
 when the change wins at least 0.9*K pairs *and* the two medians differ by
 more than the parent's interquartile range; the mirror image is marked
 ``worse``.
@@ -118,6 +123,7 @@ def compare_metric(parent: list[float], change: list[float], better: str) -> dic
         verdict = "worse"
     return {
         "parent": (parent_median, q1, q3),
+        "spread": (q3 - q1) / parent_median if parent_median else 0.0,
         "change": (change_median, *quartiles(change)),
         "delta": change_median / parent_median - 1.0 if parent_median else 0.0,
         "wins": wins,
@@ -142,7 +148,8 @@ def report(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict]
     ]
     if pairs:
         print(f"{'metric':26s} {'parent median [q1, q3]':>30s} "
-              f"{'change median [q1, q3]':>30s} {'delta':>8s} {'wins':>6s}  verdict")
+              f"{'change median [q1, q3]':>30s} {'delta':>8s} {'spread':>7s} "
+              f"{'wins':>6s}  verdict")
     for metric in metrics if pairs else []:
         name = metric["name"]
         row = compare_metric(
@@ -154,7 +161,7 @@ def report(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict]
             "{:.4g} [{:.4g}, {:.4g}]".format(*row[side]) for side in ("parent", "change")
         ]
         print(f"{name:26s} {cells[0]:>30s} {cells[1]:>30s} {row['delta']:>+8.1%} "
-              f"{row['wins']:>3d}/{row['pairs']:<2d}  {row['verdict']}")
+              f"{row['spread']:>7.1%} {row['wins']:>3d}/{row['pairs']:<2d}  {row['verdict']}")
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         failed = [run["failed"] for run in runs]
         print(f"{side}: {sum(run['ok'] for run in runs)}/{len(runs)} passes ok, "
@@ -163,7 +170,10 @@ def report(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision of the baseline")
+    sides = parser.add_mutually_exclusive_group(required=True)
+    sides.add_argument("--parent", help="git revision of the baseline")
+    sides.add_argument("--aa", action="store_true",
+                       help="run the worktree against itself (A/A noise check)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
@@ -179,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         try:
-            parent = materialise(args.parent, Path(tmp) / "parent")
+            parent = ROOT if args.aa else materialise(args.parent, Path(tmp) / "parent")
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2

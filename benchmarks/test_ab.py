@@ -2,9 +2,11 @@
 
     python -m pytest benchmarks/test_ab.py -q
 
-The statistics are checked on synthetic samples; one scaled A/A run
-(``HEAD`` against the worktree, ``--scale 0.05``, one-second passes) checks
-the plumbing end to end in about ten seconds.
+The statistics are checked on synthetic samples; one scaled run of
+``HEAD`` against the worktree (``--scale 0.05``, one-second passes) checks
+the plumbing end to end, and one scaled ``--aa`` run (the worktree against
+itself, eight pairs of half-second passes) checks that identical trees do
+not resolve a difference.  About 25 seconds in all.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def test_wins_follow_the_better_direction():
     assert row["delta"] < 0
     row = ab.compare_metric(parent, lower, "higher")
     assert (row["wins"], row["verdict"]) == (0, "worse")
+    q1, q3 = ab.quartiles(parent)
+    assert row["spread"] == (q3 - q1) / 10.5
 
 
 def test_resolution_needs_both_wins_and_a_shift_beyond_the_parent_iqr():
@@ -86,3 +90,27 @@ def test_scaled_aa_run(tmp_path):
         assert "/2" in row
     assert "parent: 2/2 passes ok" in done.stdout
     assert "change: 2/2 passes ok" in done.stdout
+
+
+def test_scaled_aa_run_resolves_nothing(tmp_path):
+    pairs = 8  # 0.9 * 8 needs 8/8 wins: a chance 8/8 is rare on noise alone
+    done = ab_run(
+        tmp_path, "--aa", "--workload", "paper18_mix", "--seed", "0",
+        "--pairs", str(pairs), "--scale", "0.05", "--seconds", "0.5",
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    header = next(line for line in lines if line.startswith("metric "))
+    assert "spread" in header
+    for metric in SPEC["end_to_end"]:
+        row = next(line for line in lines if line.startswith(metric["name"] + " "))
+        assert f"/{pairs}" in row
+        assert "resolved" not in row, done.stdout
+    assert f"parent: {pairs}/{pairs} passes ok" in done.stdout
+    assert f"change: {pairs}/{pairs} passes ok" in done.stdout
+
+
+def test_aa_and_parent_are_exclusive(tmp_path):
+    done = ab_run(tmp_path, "--aa", "--parent", "HEAD", "--workload", "paper18_mix")
+    assert done.returncode == 2
+    assert "not allowed with" in done.stderr

@@ -250,9 +250,11 @@ class MetricsCollector:
             request.vm_id, list(placement.circuits), request.vm.lifetime
         )
         latency = self.spec.latency.cpu_ram_rtt_ns(placement.cpu_ram_intra)
+        racks = placement.racks
+        intra_rack = len(racks) == 1
         self.total_requests += 1
         self.scheduled_count += 1
-        if not placement.intra_rack:
+        if not intra_rack:
             self.inter_rack_count += 1
         self.latency_sum_ns += latency
         self.latency_count += 1
@@ -263,10 +265,10 @@ class MetricsCollector:
                     arrival=request.vm.arrival,
                     lifetime=request.vm.lifetime,
                     scheduled=True,
-                    intra_rack=placement.intra_rack,
+                    intra_rack=intra_rack,
                     cpu_ram_intra=placement.cpu_ram_intra,
-                    racks_spanned=len(placement.racks),
-                    racks=tuple(sorted(placement.racks)),
+                    racks_spanned=len(racks),
+                    racks=tuple(sorted(racks)),
                     cpu_ram_latency_ns=latency,
                     optical_energy_j=energy.total_j,
                     tier_distance=placement.tier_distance,

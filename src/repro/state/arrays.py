@@ -15,7 +15,8 @@ reshuffle:
 
 * **boxes** — per resource type, position order equals the rack-major
   "first box" order (ascending box id within a type), the same order the
-  :class:`~repro.topology.capacity_index.CapacityIndex` uses;
+  :class:`~repro.topology.capacity_index.CapacityIndex` uses (it shares the
+  ``box_avail`` and ``rack_max`` columns);
 * **bricks** — concatenated per type in box-position order, each box's
   bricks contiguous (every box has at least one brick);
 * **links** — ``link_id`` equals the position in the fabric's deterministic
@@ -254,7 +255,7 @@ class ClusterStateArrays:
 
     def apply_release_batch(
         self, allocations: Sequence
-    ) -> tuple[list[int], list[dict[int, int]], list[int]]:
+    ) -> tuple[list[int], list[dict[int, int]]]:
         """Return a run of box allocations to the pool in one pass.
 
         ``allocations`` are :class:`~repro.topology.box.BoxAllocation`
@@ -266,9 +267,9 @@ class ClusterStateArrays:
         value the per-event incremental chain would have left (integer
         arithmetic, no rounding).
 
-        Returns ``(per-type released totals, per-type rack deltas, touched
-        box ids in first-touch order)`` for the cluster layer to fold into
-        its cached totals and the capacity index.
+        Returns ``(per-type released totals, per-type rack deltas)`` for the
+        cluster layer to fold into its cached totals; the rack-delta keys are
+        the touched racks, whose capacity-index leaves it then settles.
         """
         coords = self._box_coords
         if coords is None:
@@ -277,7 +278,6 @@ class ClusterStateArrays:
         brick_takes: list[dict[int, int]] = [{} for _ in range(num_types)]
         box_units: list[dict[int, int]] = [{} for _ in range(num_types)]
         rack_deltas: list[dict[int, int]] = [{} for _ in range(num_types)]
-        touched_boxes: dict[int, None] = {}
         for alloc in allocations:
             tpos, pos, lo, rack_index = coords[alloc.box_id]
             takes = brick_takes[tpos]
@@ -288,7 +288,6 @@ class ClusterStateArrays:
             units[pos] = units.get(pos, 0) + alloc.units
             deltas = rack_deltas[tpos]
             deltas[rack_index] = deltas.get(rack_index, 0) + alloc.units
-            touched_boxes[alloc.box_id] = None
         for tpos in range(num_types):
             used = self.brick_used[tpos]
             if any(used[i] < take for i, take in brick_takes[tpos].items()):
@@ -317,7 +316,7 @@ class ClusterStateArrays:
             for rack_index in rack_deltas[tpos]:
                 lo, hi = spans[rack_index]
                 rack_max[rack_index] = max(avail[lo:hi])
-        return totals, rack_deltas, list(touched_boxes)
+        return totals, rack_deltas
 
     # ------------------------------------------------------------------ #
     # Rack-maxima queries (RISA pool/super-rack, rack views)
@@ -370,10 +369,6 @@ class ClusterStateArrays:
     def type_totals(self) -> list[int]:
         """Cluster-wide available units per type."""
         return [sum(avail) for avail in self.box_avail]
-
-    def avail_lists(self) -> list[list[int]]:
-        """Per-type box availability, copied (capacity-index reload)."""
-        return [list(avail) for avail in self.box_avail]
 
     # ------------------------------------------------------------------ #
     # Snapshots

@@ -1,45 +1,43 @@
-"""Indexed placement core: O(log n) capacity queries over the box array.
+"""Indexed placement core: rack-granular capacity queries.
 
-Every scheduler decision in this library reduces to one of three questions
-about the per-type box availability array (rack-major "first box" order):
+Every scheduler decision asks which rack fits, then which of its few boxes
+of one type (rack-major "first box" order): *first-fit* — the leftmost box
+with ``avail >= u`` over everything, one rack, a rack set, all-but-one rack,
+ordered rack runs, or one pod (NULB's frontier, RISA's SUPER_RACK fallback,
+the affinity variants); *best-fit in a rack* — the smallest sufficient
+availability, ties to the lowest box id (RISA-BF, Algorithm 3); and *rack
+max-avail* — RISA's INTRA_RACK_POOL membership test (Algorithm 1).
 
-1. *first-fit* — the leftmost box with ``avail >= u``, optionally restricted
-   to one rack, a rack set, or everything-but-one-rack (NULB's global
-   frontier, RISA's SUPER_RACK fallback, the rack-affinity variants);
-2. *best-fit* — the box with the smallest sufficient availability, ties to
-   the lowest box id (RISA-BF, the best-fit ablation);
-3. *rack max-avail* — the largest single-box availability inside one rack
-   (RISA's INTRA_RACK_POOL membership test).
+The naive paths scan ``Box`` objects, O(total boxes) per VM.
+:class:`CapacityIndex` keeps per resource type one **max segment tree over
+racks** (a leaf is the rack's largest box availability, -1 for a rack with
+no box of the type), the per-box availability in position order, and each
+rack's box span.  A first-fit descends to the leftmost fitting rack and
+scans its k boxes (k <= 2 on every preset); in-rack queries are k-box
+scans; rack max-avail is a leaf read.  The whole-cluster best-fit and
+fitting-box queries serve only the ablation schedulers and are plain scans.
 
-The naive implementations scan Python ``Box`` objects linearly, making every
-VM O(total boxes).  :class:`CapacityIndex` answers all three in O(log n) from
-flat integer arrays:
-
-* a **position segment tree** per resource type (max-availability over the
-  rack-major order) answers leftmost-fit and range-max queries by descent;
-* a **value-domain occupancy tree** plus per-value position buckets answers
-  global best-fit: the smallest value ``v >= u`` with a non-empty bucket,
-  then the lowest position inside that bucket.
-
-The index is maintained incrementally by :meth:`Cluster.on_box_change`
-(every allocate/release/restore routes through it) and can be rebuilt in
-O(n) after a bulk restore.  Set ``REPRO_PLACEMENT_INDEX=naive`` to disable
-it process-wide: schedulers, racks, and link bundles then fall back to the
-original linear scans — the A/B lever the equivalence tests and benchmarks
-use.  Both modes are pinned to bit-identical placements.
+Upkeep runs through :meth:`Cluster.on_box_change`: a box change settles its
+rack's maximum once — under the array state backend that is the shared
+``rack_max`` column :meth:`ClusterStateArrays.apply_box_delta` just wrote —
+and touches the tree only when that maximum moved; batched releases notify
+once per touched rack.  ``REPRO_PLACEMENT_INDEX=naive`` disables the index
+process-wide (schedulers, racks and link bundles fall back to the linear
+scans); both modes are pinned to bit-identical placements.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import SimulationError
 from ..types import RESOURCE_ORDER, ResourceType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
+    from ..state import ClusterStateArrays
     from .box import Box
     from .cluster import Cluster
 
@@ -82,9 +80,7 @@ def placement_mode(mode: str) -> Iterator[None]:
     the Figure 11/12 drivers that measure the naive reference scans.
     """
     if mode not in PLACEMENT_MODES:
-        raise SimulationError(
-            f"unknown placement mode {mode!r}; choose from {PLACEMENT_MODES}"
-        )
+        raise SimulationError(f"unknown placement mode {mode!r}; choose from {PLACEMENT_MODES}")
     old = os.environ.get(PLACEMENT_INDEX_ENV)
     os.environ[PLACEMENT_INDEX_ENV] = mode
     try:
@@ -118,16 +114,10 @@ class MaxSegmentTree:
         self.tree = [neutral] * (2 * size)
         self.assign(values)
 
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def assign(self, values: List[float]) -> None:
+    def assign(self, values: list[float]) -> None:
         """Bulk-load ``values`` (same length as construction) in O(n)."""
         if len(values) != self.n:
-            raise ValueError(
-                f"segment tree holds {self.n} leaves, got {len(values)} values"
-            )
+            raise ValueError(f"segment tree holds {self.n} leaves, got {len(values)} values")
         tree, size = self.tree, self.size
         tree[size : size + self.n] = values
         for i in range(size + self.n, 2 * size):
@@ -149,10 +139,6 @@ class MaxSegmentTree:
                 break
             tree[node] = best
             node >>= 1
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
 
     def value(self, pos: int) -> float:
         """Current value of leaf ``pos`` (O(1))."""
@@ -184,137 +170,40 @@ class MaxSegmentTree:
         return best
 
     def leftmost_at_least(
-        self, threshold: float, lo: int = 0, hi: Optional[int] = None
-    ) -> Optional[int]:
+        self, threshold: float, lo: int = 0, hi: int | None = None
+    ) -> int | None:
         """Smallest position in ``[lo, hi)`` whose value is >= ``threshold``.
 
-        The canonical decomposition of the range is scanned left to right;
-        the first covering node whose max clears the threshold is descended
-        to its leftmost qualifying leaf.  O(log n).
+        From leaf ``lo`` (the root for a full-range query) climb while the
+        node is a left child, so each step covers the largest aligned block
+        starting at the cursor; skip blocks whose max is below the threshold
+        and descend into the first that clears it.  O(log n).
         """
-        if hi is None:
-            hi = self.n
+        n = self.n
+        if hi is None or hi > n:
+            hi = n
         if lo < 0:
             lo = 0
-        if hi > self.n:
-            hi = self.n
         if lo >= hi:
             return None
         tree, size = self.tree, self.size
-        if lo == 0 and hi == self.n:
-            # Full-range query (the global first-fit frontier and bundle
-            # selects): descend straight from the root, no decomposition.
-            if tree[1] < threshold:
-                return None
-            node = 1
-            while node < size:
-                node <<= 1
-                if tree[node] < threshold:
-                    node += 1
-            return node - size
-        lo += size
-        hi += size
-        left_nodes: list[int] = []
-        right_nodes: list[int] = []
-        while lo < hi:
-            if lo & 1:
-                left_nodes.append(lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                right_nodes.append(hi)
-            lo >>= 1
-            hi >>= 1
-        node = None
-        for cand in left_nodes:
-            if tree[cand] >= threshold:
-                node = cand
+        node = lo + size if lo else 1
+        while True:
+            while not node & 1:
+                node >>= 1
+            if tree[node] >= threshold:
                 break
-        if node is None:
-            for cand in reversed(right_nodes):
-                if tree[cand] >= threshold:
-                    node = cand
-                    break
-        if node is None:
-            return None
+            node += 1
+            if not node & (node - 1):  # stepped past the last leaf
+                return None
         while node < size:
             node <<= 1
             if tree[node] < threshold:
                 node += 1
-        return node - size
+        pos = node - size
+        return pos if pos < hi else None
 
-    def best_fit_in_range(
-        self, threshold: float, lo: int, hi: int
-    ) -> Optional[int]:
-        """Position in ``[lo, hi)`` with the *smallest* value >= ``threshold``
-        (ties -> lowest position).
-
-        Pruned in-order walk: subtrees whose max is below the threshold are
-        skipped, and an exact-fit (value == threshold) short-circuits.  Cost
-        is O(log n + matches) — intended for small ranges (one rack's span);
-        use :meth:`_TypeIndex.best_fit` for whole-array best-fit.
-        """
-        if lo < 0:
-            lo = 0
-        if hi > self.n:
-            hi = self.n
-        if lo >= hi:
-            return None
-        tree, size = self.tree, self.size
-        best_val: Optional[float] = None
-        best_pos: Optional[int] = None
-        stack: list[tuple[int, int, int]] = [(1, 0, size)]
-        while stack:
-            node, nlo, nhi = stack.pop()
-            if nhi <= lo or nlo >= hi:
-                continue
-            val = tree[node]
-            if val < threshold:
-                continue
-            if nhi - nlo == 1:
-                if best_val is None or val < best_val:
-                    best_val = val
-                    best_pos = nlo
-                    if best_val == threshold:  # perfect fit; earliest wins
-                        break
-                continue
-            mid = (nlo + nhi) // 2
-            # Push right then left so the left child is processed first:
-            # positions are visited in ascending order, making the strict
-            # ``val < best_val`` comparison reproduce first-fit tie-breaks.
-            stack.append((2 * node + 1, mid, nhi))
-            stack.append((2 * node, nlo, mid))
-        return best_pos
-
-    def positions_at_least(
-        self, threshold: float, lo: int = 0, hi: Optional[int] = None
-    ) -> list[int]:
-        """All positions in ``[lo, hi)`` with value >= ``threshold``, in
-        ascending order.  O(log n + matches)."""
-        if hi is None:
-            hi = self.n
-        if lo < 0:
-            lo = 0
-        if hi > self.n:
-            hi = self.n
-        out: list[int] = []
-        if lo >= hi:
-            return out
-        tree, size = self.tree, self.size
-        stack: list[tuple[int, int, int]] = [(1, 0, size)]
-        while stack:
-            node, nlo, nhi = stack.pop()
-            if nhi <= lo or nlo >= hi or tree[node] < threshold:
-                continue
-            if nhi - nlo == 1:
-                out.append(nlo)
-                continue
-            mid = (nlo + nhi) // 2
-            stack.append((2 * node + 1, mid, nhi))
-            stack.append((2 * node, nlo, mid))
-        return out
-
-    def most_available(self, demand: float, eps: float) -> Optional[int]:
+    def most_available(self, demand: float, eps: float) -> int | None:
         """The position a left-to-right "most available" scan would pick.
 
         Replicates the exact fold of the naive link scan — a candidate
@@ -326,7 +215,7 @@ class MaxSegmentTree:
         """
         tree, size = self.tree, self.size
         n = self.n
-        best_pos: Optional[int] = None
+        best_pos: int | None = None
         best_avail = -1.0
         if n <= LEAF_SCAN_MAX:
             for pos, val in enumerate(tree[size : size + n]):
@@ -354,97 +243,77 @@ class MaxSegmentTree:
 
 
 class _TypeIndex:
-    """Per-resource-type availability index over the rack-major box order.
+    """One resource type: per-box availability in rack-major position order,
+    each rack's box span, per-rack maxima, and a max tree over racks.
 
-    The value-domain structures (``buckets`` + ``value_tree``) serve only
-    whole-array best-fit, which none of the paper schedulers query — so they
-    activate on first use: until a :meth:`best_fit` call, hot-path updates
-    skip them entirely; the first query rebuilds them in O(n) and switches
-    them to incremental maintenance (a best-fit-driven scheduler then pays
-    O(log n + bucket shift) per update, never another rebuild).
+    Under the array state backend ``avail`` and ``rack_max`` *are* the state
+    core's columns (mutated in place, never rebound); otherwise the index
+    owns both and settles them on every box change.
     """
 
-    __slots__ = (
-        "boxes",
-        "pos_by_id",
-        "rack_spans",
-        "pod_spans",
-        "tree",
-        "max_value",
-        "buckets",
-        "value_tree",
-        "buckets_active",
-    )
+    __slots__ = ("boxes", "avail", "rack_max", "owns_columns", "rack_spans", "pod_ranges", "tree")
 
-    def __init__(
-        self,
-        boxes: List["Box"],
-        num_racks: int,
-        pod_rack_ranges: tuple[tuple[int, int], ...] = (),
-    ) -> None:
-        self.boxes = boxes
-        self.pos_by_id = {box.box_id: pos for pos, box in enumerate(boxes)}
-        spans: list[tuple[int, int]] = []
-        cursor = 0
-        for rack_index in range(num_racks):
-            start = cursor
-            while cursor < len(boxes) and boxes[cursor].rack_index == rack_index:
-                cursor += 1
-            spans.append((start, cursor))
-        self.rack_spans = spans
-        self.pod_spans = [
-            self.rack_range_span(lo, hi) for lo, hi in pod_rack_ranges
-        ] or [(0, len(boxes))]
-        self.tree = MaxSegmentTree([b.avail_units for b in boxes], neutral=-1)
-        self.max_value = max((b.capacity_units for b in boxes), default=0)
-        self.buckets: list[list[int]] = [[] for _ in range(self.max_value + 1)]
-        self.value_tree = MaxSegmentTree([0] * (self.max_value + 1), neutral=0)
-        self.buckets_active = False
-
-    def rack_range_span(self, rack_lo: int, rack_hi: int) -> tuple[int, int]:
-        """Box-position span covering the contiguous racks ``[lo, hi)``."""
-        if rack_lo >= rack_hi:
-            return (0, 0)
-        return (self.rack_spans[rack_lo][0], self.rack_spans[rack_hi - 1][1])
+    def __init__(self, cluster: Cluster, tpos: int) -> None:
+        boxes = self.boxes = cluster.boxes(RESOURCE_ORDER[tpos])
+        racks = [box.rack_index for box in boxes]  # ascending: rack-major order
+        starts = [bisect_left(racks, rack) for rack in range(cluster.num_racks + 1)]
+        self.rack_spans = list(zip(starts, starts[1:]))
+        self.pod_ranges = cluster.pod_rack_ranges()
+        state = cluster.state_arrays
+        self.owns_columns = state is None
+        self.avail: list[int] = [] if state is None else state.box_avail[tpos]
+        self.rack_max: list[int] = [] if state is None else state.rack_max[tpos]
+        self.tree = MaxSegmentTree([-1] * cluster.num_racks, neutral=-1)
+        self.rebuild()
 
     def rebuild(self) -> None:
-        """Recompute every structure from current box state in O(n)."""
-        self.tree.assign([b.avail_units for b in self.boxes])
-        self.buckets_active = False
+        """Reload the rack leaves (and owned columns) from live state, O(n)."""
+        spans = self.rack_spans
+        if self.owns_columns:
+            avail = self.avail
+            avail[:] = [box.avail_units for box in self.boxes]
+            self.rack_max[:] = [max(avail[lo:hi], default=0) for lo, hi in spans]
+        self.tree.assign([top if lo < hi else -1 for top, (lo, hi) in zip(self.rack_max, spans)])
 
-    def _activate_buckets(self) -> None:
-        for bucket in self.buckets:
-            bucket.clear()
-        for pos, box in enumerate(self.boxes):
-            self.buckets[box.avail_units].append(pos)
-        self.value_tree.assign([1 if bucket else 0 for bucket in self.buckets])
-        self.buckets_active = True
+    def first_in_rack(self, units: int, rack_index: int) -> Box | None:
+        """Leftmost box of one rack with ``avail >= units`` (a k-box scan)."""
+        lo, hi = self.rack_spans[rack_index]
+        avail = self.avail
+        for pos in range(lo, hi):
+            if avail[pos] >= units:
+                return self.boxes[pos]
+        return None
 
-    def update(self, pos: int, new_avail: int) -> None:
-        """Move one box's availability to ``new_avail`` (O(log n))."""
-        old = self.tree.value(pos)
-        if old == new_avail:
-            return
-        self.tree.update(pos, new_avail)
-        if not self.buckets_active:
-            return
-        bucket = self.buckets[old]
-        bucket.pop(bisect_left(bucket, pos))
-        if not bucket:
-            self.value_tree.update(old, 0)
-        target = self.buckets[new_avail]
-        insort(target, pos)
-        if len(target) == 1:
-            self.value_tree.update(new_avail, 1)
+    def first_fit(
+        self, units: int, rack_lo: int, rack_hi: int,
+        allowed: frozenset[int] | None = None, exclude: int | None = None,
+    ) -> Box | None:
+        """Leftmost fitting box over the allowed racks of ``[rack_lo,
+        rack_hi)``: the leftmost fitting rack, resuming just past it when it
+        is disallowed.
+        (SUPER_RACK filters hold exactly the fitting racks, so the first
+        rack reached is almost always allowed.)"""
+        tree = self.tree
+        while True:
+            rack = tree.leftmost_at_least(units, rack_lo, rack_hi)
+            if rack is None:
+                return None
+            if rack != exclude and (allowed is None or rack in allowed):
+                return self.first_in_rack(units, rack)
+            rack_lo = rack + 1
 
-    def best_fit(self, units: int) -> Optional[int]:
-        """Whole-array best-fit: smallest value >= units, lowest position."""
-        if not self.buckets_active:
-            self._activate_buckets()
-        value = self.value_tree.leftmost_at_least(1, units, self.max_value + 1)
-        if value is None:
-            return None
-        return self.buckets[value][0]
+    def best_fit(self, units: int, lo: int, hi: int) -> Box | None:
+        """Smallest sufficient availability over box positions ``[lo, hi)``;
+        ties -> lowest position (the naive scan's strict ``<``)."""
+        avail = self.avail
+        best_pos = -1
+        best = 0
+        for pos in range(lo, hi):
+            value = avail[pos]
+            if value >= units and (best_pos < 0 or value < best):
+                best_pos = pos
+                best = value
+        return None if best_pos < 0 else self.boxes[best_pos]
 
 
 class CapacityIndex:
@@ -452,223 +321,129 @@ class CapacityIndex:
 
     __slots__ = ("_types",)
 
-    def __init__(self, cluster: "Cluster") -> None:
-        num_racks = cluster.num_racks
-        pod_ranges = cluster.pod_rack_ranges()
+    def __init__(self, cluster: Cluster) -> None:
         self._types = {
-            rtype: _TypeIndex(cluster.boxes(rtype), num_racks, pod_ranges)
-            for rtype in RESOURCE_ORDER
+            rtype: _TypeIndex(cluster, tpos) for tpos, rtype in enumerate(RESOURCE_ORDER)
         }
 
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def update_box(self, box: "Box") -> None:
-        """Reflect one box's availability change (O(log n))."""
+    def update_box(self, box: Box) -> None:
+        """Reflect one box's availability change.  Its rack's maximum is
+        settled once — by the state core before this call, or here at the
+        box's own position when the index owns the columns — and the tree
+        is touched only when that maximum moved."""
         tindex = self._types[box.rtype]
-        tindex.update(tindex.pos_by_id[box.box_id], box.avail_units)
+        rack = box.rack_index
+        rack_max = tindex.rack_max
+        if tindex.owns_columns:
+            avail = tindex.avail
+            pos = box._pos
+            old = avail[pos]
+            new = avail[pos] = box.avail_units
+            if new > rack_max[rack]:
+                rack_max[rack] = new
+            elif new < old == rack_max[rack]:
+                lo, hi = tindex.rack_spans[rack]
+                rack_max[rack] = max(avail[lo:hi])
+        tree = tindex.tree
+        top = rack_max[rack]
+        if tree.tree[tree.size + rack] != top:
+            tree.update(rack, top)
+
+    def update_rack(self, rtype: ResourceType, rack_index: int) -> None:
+        """Settle one rack's leaf from the state core's ``rack_max`` column
+        (batched releases: once per touched rack, not per box)."""
+        tindex = self._types[rtype]
+        top = tindex.rack_max[rack_index]
+        if tindex.tree.value(rack_index) != top:
+            tindex.tree.update(rack_index, top)
 
     def rebuild(self) -> None:
-        """Recompute every per-type structure from live box state (O(n))."""
+        """Recompute every per-type structure from live state (O(n))."""
         for tindex in self._types.values():
             tindex.rebuild()
 
-    def reload(self, avail_by_type: "List[List[int]]") -> None:
-        """Bulk-load per-box availability, one list per type aligned with
-        ``RESOURCE_ORDER`` and in box-position order.
+    # Queries: each returns a Box or None with the naive scan's tie-breaks.
 
-        Same effect as :meth:`rebuild` without the per-box attribute reads —
-        the array state backend's bulk-restore path hands the availability
-        straight out of its arrays.
-        """
-        for tindex, values in zip(self._types.values(), avail_by_type):
-            tindex.tree.assign(values)
-            tindex.buckets_active = False
-
-    # ------------------------------------------------------------------ #
-    # Queries (all return Box or None, preserving naive-scan tie-breaks)
-    # ------------------------------------------------------------------ #
-
-    def first_fit(self, rtype: ResourceType, units: int) -> Optional["Box"]:
-        """Leftmost box of ``rtype`` (global rack-major order) that fits."""
-        tindex = self._types[rtype]
-        pos = tindex.tree.leftmost_at_least(units)
-        return None if pos is None else tindex.boxes[pos]
-
-    def first_fit_in_rack(
-        self, rtype: ResourceType, units: int, rack_index: int
-    ) -> Optional["Box"]:
+    def first_fit_in_rack(self, rtype: ResourceType, units: int, rack_index: int) -> Box | None:
         """Leftmost fitting box of ``rtype`` within one rack."""
-        tindex = self._types[rtype]
-        lo, hi = tindex.rack_spans[rack_index]
-        pos = tindex.tree.leftmost_at_least(units, lo, hi)
-        return None if pos is None else tindex.boxes[pos]
+        return self._types[rtype].first_in_rack(units, rack_index)
 
     def first_fit_in_racks(
-        self,
-        rtype: ResourceType,
-        units: int,
-        rack_filter: Optional[frozenset[int]] = None,
-        exclude_rack: Optional[int] = None,
-    ) -> Optional["Box"]:
-        """Leftmost fitting box over an allowed rack set.
-
-        ``rack_filter=None`` allows every rack; ``exclude_rack`` drops one
-        rack from the allowed set (the rack-affinity "everywhere but home"
-        search).  Contiguous runs of allowed racks collapse into single
-        segment-tree queries, so a dense filter costs O(log n) per run.
-        """
+        self, rtype: ResourceType, units: int,
+        rack_filter: frozenset[int] | None = None, exclude_rack: int | None = None,
+    ) -> Box | None:
+        """Leftmost fitting box over an allowed rack set: ``rack_filter=None``
+        allows every rack; ``exclude_rack`` drops one rack (the rack-affinity
+        "everywhere but home" search)."""
         tindex = self._types[rtype]
-        if rack_filter is None and exclude_rack is None:
-            pos = tindex.tree.leftmost_at_least(units)
-            return None if pos is None else tindex.boxes[pos]
-        spans = tindex.rack_spans
-        tree = tindex.tree
-        run_lo: Optional[int] = None
-        run_hi = 0
-        for rack_index, (lo, hi) in enumerate(spans):
-            allowed = rack_index != exclude_rack and (
-                rack_filter is None or rack_index in rack_filter
-            )
-            if allowed:
-                if run_lo is None:
-                    run_lo = lo
-                run_hi = hi
-                continue
-            if run_lo is not None:
-                pos = tree.leftmost_at_least(units, run_lo, run_hi)
-                if pos is not None:
-                    return tindex.boxes[pos]
-                run_lo = None
-        if run_lo is not None:
-            pos = tree.leftmost_at_least(units, run_lo, run_hi)
-            if pos is not None:
-                return tindex.boxes[pos]
-        return None
+        return tindex.first_fit(units, 0, tindex.tree.n, rack_filter, exclude_rack)
+
+    #: Leftmost box of a type (global rack-major order) that fits.
+    first_fit = first_fit_in_racks
 
     def first_fit_in_rack_runs(
-        self,
-        rtype: ResourceType,
-        units: int,
-        runs: Iterable[tuple[int, int]],
-        rack_filter: Optional[frozenset[int]] = None,
-    ) -> Optional["Box"]:
-        """Leftmost fitting box over ordered contiguous rack ranges.
-
-        ``runs`` holds ``(rack_lo, rack_hi)`` ranges scanned in the given
-        order — the tier-distance rings of a hierarchical search.  With a
-        ``rack_filter`` each run decomposes into its allowed sub-runs
-        (preserving rack order), so a filtered ring still costs O(log n)
-        per contiguous allowed stretch.
-        """
+        self, rtype: ResourceType, units: int, runs: Iterable[tuple[int, int]],
+        rack_filter: frozenset[int] | None = None,
+    ) -> Box | None:
+        """Leftmost fitting box over ordered ``(rack_lo, rack_hi)`` ranges,
+        scanned in the given order (the tier-distance rings of a
+        hierarchical search), each restricted to ``rack_filter``."""
         tindex = self._types[rtype]
-        tree = tindex.tree
         for rack_lo, rack_hi in runs:
-            if rack_filter is None:
-                lo, hi = tindex.rack_range_span(rack_lo, rack_hi)
-                pos = tree.leftmost_at_least(units, lo, hi)
-                if pos is not None:
-                    return tindex.boxes[pos]
-                continue
-            run_lo: Optional[int] = None
-            run_hi = rack_lo
-            for rack_index in range(rack_lo, rack_hi):
-                if rack_index in rack_filter:
-                    if run_lo is None:
-                        run_lo = rack_index
-                    run_hi = rack_index + 1
-                    continue
-                if run_lo is not None:
-                    lo, hi = tindex.rack_range_span(run_lo, run_hi)
-                    pos = tree.leftmost_at_least(units, lo, hi)
-                    if pos is not None:
-                        return tindex.boxes[pos]
-                    run_lo = None
-            if run_lo is not None:
-                lo, hi = tindex.rack_range_span(run_lo, run_hi)
-                pos = tree.leftmost_at_least(units, lo, hi)
-                if pos is not None:
-                    return tindex.boxes[pos]
+            box = tindex.first_fit(units, rack_lo, rack_hi, rack_filter)
+            if box is not None:
+                return box
         return None
 
-    def first_fit_in_pod(
-        self, rtype: ResourceType, units: int, pod_index: int
-    ) -> Optional["Box"]:
+    def first_fit_in_pod(self, rtype: ResourceType, units: int, pod_index: int) -> Box | None:
         """Leftmost fitting box of ``rtype`` within one pod."""
         tindex = self._types[rtype]
-        lo, hi = tindex.pod_spans[pod_index]
-        pos = tindex.tree.leftmost_at_least(units, lo, hi)
-        return None if pos is None else tindex.boxes[pos]
+        return tindex.first_fit(units, *tindex.pod_ranges[pod_index])
 
-    def best_fit_in_pod(
-        self, rtype: ResourceType, units: int, pod_index: int
-    ) -> Optional["Box"]:
-        """Smallest sufficient availability within one pod (ties -> lowest
-        position)."""
+    def best_fit_in_pod(self, rtype: ResourceType, units: int, pod_index: int) -> Box | None:
+        """Smallest sufficient availability within one pod; ties -> lowest id."""
         tindex = self._types[rtype]
-        lo, hi = tindex.pod_spans[pod_index]
-        pos = tindex.tree.best_fit_in_range(units, lo, hi)
-        return None if pos is None else tindex.boxes[pos]
+        rack_lo, rack_hi = tindex.pod_ranges[pod_index]
+        spans = tindex.rack_spans[rack_lo:rack_hi]
+        return tindex.best_fit(units, spans[0][0], spans[-1][1]) if spans else None
 
     def pod_max_avail(self, rtype: ResourceType, pod_index: int) -> int:
         """Largest single-box availability of ``rtype`` in one pod."""
         tindex = self._types[rtype]
-        lo, hi = tindex.pod_spans[pod_index]
-        best = tindex.tree.range_max(lo, hi)
+        best = tindex.tree.range_max(*tindex.pod_ranges[pod_index])
         return best if best > 0 else 0
 
-    def best_fit(self, rtype: ResourceType, units: int) -> Optional["Box"]:
+    def best_fit(self, rtype: ResourceType, units: int) -> Box | None:
         """Smallest sufficient availability anywhere; ties -> lowest box id."""
         tindex = self._types[rtype]
-        pos = tindex.best_fit(units)
-        return None if pos is None else tindex.boxes[pos]
+        return tindex.best_fit(units, 0, len(tindex.avail))
 
-    def best_fit_in_rack(
-        self, rtype: ResourceType, units: int, rack_index: int
-    ) -> Optional["Box"]:
+    def best_fit_in_rack(self, rtype: ResourceType, units: int, rack_index: int) -> Box | None:
         """Smallest sufficient availability within one rack (RISA-BF)."""
         tindex = self._types[rtype]
         lo, hi = tindex.rack_spans[rack_index]
-        pos = tindex.tree.best_fit_in_range(units, lo, hi)
-        return None if pos is None else tindex.boxes[pos]
+        return tindex.best_fit(units, lo, hi)
 
-    def worst_fit(self, rtype: ResourceType, units: int) -> Optional["Box"]:
-        """Emptiest box that still fits; ties -> lowest box id."""
+    def worst_fit(self, rtype: ResourceType, units: int) -> Box | None:
+        """Emptiest box that still fits; ties -> lowest box id (the leftmost
+        box holding the tree's maximum)."""
         tindex = self._types[rtype]
         top = tindex.tree.max_all()
-        if top < units:
-            return None
-        pos = tindex.tree.leftmost_at_least(top)
-        return None if pos is None else tindex.boxes[pos]
+        return tindex.first_fit(top, 0, tindex.tree.n) if top >= units else None
 
     def rack_max_avail(self, rtype: ResourceType, rack_index: int) -> int:
         """Largest single-box availability of ``rtype`` in one rack."""
-        tindex = self._types[rtype]
-        lo, hi = tindex.rack_spans[rack_index]
-        if lo >= hi:
-            return 0
-        if hi - lo <= 16:
-            # Tiny spans (the paper config has 2 boxes per type per rack):
-            # a C-level max over the leaf slice beats a tree descent.
-            base = tindex.tree.size
-            best = max(tindex.tree.tree[base + lo : base + hi])
-        else:
-            best = tindex.tree.range_max(lo, hi)
+        best = self._types[rtype].tree.value(rack_index)
         return best if best > 0 else 0
 
-    def fitting_boxes(self, rtype: ResourceType, units: int) -> list["Box"]:
+    def fitting_boxes(self, rtype: ResourceType, units: int) -> list[Box]:
         """Every box of ``rtype`` that fits, in global order."""
         tindex = self._types[rtype]
-        return [tindex.boxes[pos] for pos in tindex.tree.positions_at_least(units)]
+        return [box for box, value in zip(tindex.boxes, tindex.avail) if value >= units]
 
-    def fitting_boxes_in_rack(
-        self, rtype: ResourceType, units: int, rack_index: int
-    ) -> list["Box"]:
+    def fitting_boxes_in_rack(self, rtype: ResourceType, units: int, rack_index: int) -> list[Box]:
         """Every fitting box of ``rtype`` in one rack, in box-index order."""
         tindex = self._types[rtype]
         lo, hi = tindex.rack_spans[rack_index]
-        # Racks hold a few boxes: one pass over the leaves beats a descent.
-        base = tindex.tree.size
-        leaves = tindex.tree.tree[base + lo : base + hi]
-        return [b for b, avail in zip(tindex.boxes[lo:hi], leaves) if avail >= units]
+        avail = tindex.avail
+        return [tindex.boxes[pos] for pos in range(lo, hi) if avail[pos] >= units]

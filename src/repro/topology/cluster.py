@@ -93,7 +93,11 @@ class Cluster:
         if box.box_id in self._box_by_id:
             raise TopologyError(f"duplicate box id {box.box_id}")
         self._box_by_id[box.box_id] = box
-        self._boxes_by_type[box.rtype].append(box)
+        boxes = self._boxes_by_type[box.rtype]
+        # The box's rack-major position within its type: its address in the
+        # capacity index (and in the state columns, which bind the same one).
+        box._pos = len(boxes)
+        boxes.append(box)
         self._total_avail[box.rtype] += box.avail_units
         self._total_capacity[box.rtype] += box.capacity_units
 
@@ -137,7 +141,7 @@ class Cluster:
 
     @property
     def capacity_index(self) -> CapacityIndex | None:
-        """The O(log n) placement index, or None in naive mode
+        """The rack-granular placement index, or None in naive mode
         (``REPRO_PLACEMENT_INDEX=naive``)."""
         return self._capacity_index
 
@@ -223,7 +227,9 @@ class Cluster:
 
     def on_box_change(self, box: Box, delta: int) -> None:
         """Box availability changed by ``delta``; update cluster totals, the
-        capacity index, and the owning rack's cache.
+        owning rack's total, and the capacity index.  The rack's own max
+        cache is maintained only when neither the state arrays nor the index
+        own the rack maxima.
 
         Drains are sticky: units freed on a drained rack (a departing tenant
         of a failed pod) are re-occupied immediately, so the rack never
@@ -232,10 +238,16 @@ class Cluster:
         zero availability and stops.
         """
         self._version += 1
-        self._total_avail[box.rtype] += delta
-        if self._capacity_index is not None:
-            self._capacity_index.update_box(box)
-        self.racks[box.rack_index].on_box_change(box, delta)
+        rtype = box.rtype
+        self._total_avail[rtype] += delta
+        index = self._capacity_index
+        if index is not None:
+            index.update_box(box)
+        rack = self.racks[box.rack_index]
+        if index is None and self._state_arrays is None:
+            rack.on_box_change(box, delta)  # the rack owns its maxima
+        else:
+            rack._total_avail[rtype] += delta
         if (
             delta > 0
             and self._drained_racks
@@ -252,12 +264,12 @@ class Cluster:
         :class:`~repro.topology.box.BoxAllocation` through its box: the
         arrays settle occupancy/availability/rack maxima in bulk, the cached
         totals fold per type (integer adds — order-free), and the capacity
-        index is notified once per *touched box* instead of once per event
-        (its tree holds one value per box, so the final write wins either
-        way).  Requires the array backend; callers must fall back to
-        per-event releases while any rack is drained (drain stickiness
-        re-occupies freed units through ``set_occupancy``, a per-box code
-        path batching cannot replicate).
+        index is notified once per *touched rack* instead of once per event
+        (its tree holds one value per rack, the maximum the arrays just
+        settled, so the final write wins either way).  Requires the array
+        backend; callers must fall back to per-event releases while any
+        rack is drained (drain stickiness re-occupies freed units through
+        ``set_occupancy``, a per-box code path batching cannot replicate).
         """
         sa = self._state_arrays
         if sa is None:
@@ -268,17 +280,17 @@ class Cluster:
             raise CapacityError(
                 "apply_release_batch is not valid while racks are drained"
             )
-        totals, rack_deltas, touched = sa.apply_release_batch(allocations)
+        totals, rack_deltas = sa.apply_release_batch(allocations)
         self._version += len(allocations)
+        index = self._capacity_index
         for tpos, rtype in enumerate(RESOURCE_ORDER):
             total = totals[tpos]
             if total:
                 self._total_avail[rtype] += total
             for rack_index, delta in rack_deltas[tpos].items():
-                self.racks[rack_index].apply_avail_delta(rtype, delta)
-        if self._capacity_index is not None:
-            for box_id in touched:
-                self._capacity_index.update_box(self._box_by_id[box_id])
+                self.racks[rack_index]._total_avail[rtype] += delta
+                if index is not None:
+                    index.update_rack(rtype, rack_index)
 
     def rebuild_caches(self) -> None:
         """Recompute every derived structure — cluster totals, rack caches,
@@ -374,7 +386,7 @@ class Cluster:
                 for rack, total in zip(self.racks, sa.rack_totals(tpos)):
                     rack._total_avail[rtype] = total
             if self._capacity_index is not None:
-                self._capacity_index.reload(sa.avail_lists())
+                self._capacity_index.rebuild()  # reads the restored columns
             return
         ids = sorted(self._box_by_id)
         if len(snap) != len(ids):

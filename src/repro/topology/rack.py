@@ -1,11 +1,13 @@
 """Racks — groups of single-resource boxes with per-type max-avail queries.
 
 RISA's INTRA_RACK_POOL test needs, for every rack, "the boxes with the
-maximum amount of each resource" (Section 4.2).  When the cluster's
-:class:`~repro.topology.capacity_index.CapacityIndex` is active the maxima
-are answered by its per-rack range queries; otherwise (naive mode, or a rack
-not yet attached to a cluster) :class:`Rack` maintains them incrementally,
-matching the paper's description of RISA's bookkeeping.
+maximum amount of each resource" (Section 4.2).  Whoever owns the cluster's
+rack maxima answers it: the array state backend's ``rack_max`` columns, else
+the :class:`~repro.topology.capacity_index.CapacityIndex`'s rack leaves.
+Only when neither exists (objects backend in naive mode, or a rack not yet
+attached to a cluster) does :class:`Rack` maintain the maxima itself,
+matching the paper's description of RISA's bookkeeping.  The per-type
+availability totals always live here; the cluster updates them in place.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class Rack:
 
         Called by the cluster after construction; ``None`` returns to the
         incremental per-rack cache, which is rebuilt here — while an index
-        is bound ``on_box_change`` skips max maintenance, so the cache
-        would otherwise be stale.
+        is bound the cluster skips ``on_box_change``, so the cache would
+        otherwise be stale.
         """
         self._capacity_index = index
         if index is None:
@@ -142,16 +144,19 @@ class Rack:
         return units <= self.max_avail(rtype)
 
     # ------------------------------------------------------------------ #
-    # Cache maintenance (called by Box on_change)
+    # Cache maintenance (called by the cluster's box listener)
     # ------------------------------------------------------------------ #
 
     def on_box_change(self, box: Box, delta: int) -> None:
         """Update cached aggregates after ``box``'s availability changed by
-        ``delta`` units (positive = release, negative = allocate)."""
+        ``delta`` units (positive = release, negative = allocate).
+
+        The cluster calls this only while the rack owns its maxima (neither
+        state arrays nor a capacity index bound); otherwise it adds the
+        delta to the rack total itself.
+        """
         rtype = box.rtype
         self._total_avail[rtype] += delta
-        if self._capacity_index is not None or self._state_arrays is not None:
-            return  # maxima come from the index/arrays; no per-rack bookkeeping
         if delta > 0:
             # Release can only raise the max.
             if box.avail_units > self._max_avail[rtype]:
@@ -162,18 +167,6 @@ class Rack:
             self._max_avail[rtype] = max(
                 (b.avail_units for b in self._boxes_by_type[rtype]), default=0
             )
-
-    def apply_avail_delta(self, rtype: ResourceType, delta: int) -> None:
-        """Fold one batched availability delta into the rack total.
-
-        The cluster's batched-release path calls this once per (rack, type)
-        instead of once per box event.  Only valid while the state arrays
-        are bound: the per-rack maxima then live in (and were already
-        settled by) the arrays, so the total is the only cache to maintain —
-        exactly the work :meth:`on_box_change` does in that configuration.
-        """
-        assert self._state_arrays is not None
-        self._total_avail[rtype] += delta
 
     def rebuild_cache(self) -> None:
         """Recompute both aggregates from live box state (bulk-restore path)."""

@@ -28,6 +28,10 @@ class ResourceType(enum.Enum):
     RAM = "ram"
     STORAGE = "storage"
 
+    # Members are singletons compared by identity, so hash by identity too:
+    # ``Enum.__hash__`` is a Python-level call on every dict/set lookup.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResourceType.{self.name}"
 

@@ -1,5 +1,7 @@
 """Tests for repro.types: ResourceVector arithmetic and ceil_div."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,19 @@ class TestResourceType:
             ResourceType.RAM,
             ResourceType.STORAGE,
         )
+
+    def test_identity_hash_keeps_lookups_and_pickling(self):
+        """Members hash by identity; every lookup still finds the member."""
+        table = {rtype: rtype.value for rtype in ResourceType}
+        members = set(ResourceType)
+        for rtype in ResourceType:
+            assert hash(rtype) == object.__hash__(rtype)
+            assert table[rtype] == rtype.value
+            assert rtype in members
+            assert ResourceType(rtype.value) is rtype
+            assert pickle.loads(pickle.dumps(rtype)) is rtype
+        assert ResourceType("cpu") is ResourceType.CPU
+        assert ResourceType["RAM"] is ResourceType.RAM
 
 
 class TestResourceVector:

@@ -1,19 +1,29 @@
 """Capacity index: segment-tree queries vs the naive linear-scan oracle.
 
 The index must answer exactly what the naive scans answer — same box ids,
-same tie-breaks — under any interleaving of allocate / release / snapshot /
-restore.  Deterministic unit tests pin each query; the randomized property
-loop (stdlib ``random``, fixed seeds) drives long mixed sequences against
-an oracle that recomputes every answer by linear scan.
+same tie-breaks — under any interleaving of allocate / release / batched
+release / drain / snapshot / restore.  Deterministic unit tests pin each
+query; the randomized property loops (stdlib ``random``, fixed seeds) drive
+long mixed sequences against an oracle that recomputes every answer by
+linear scan.
 """
 
 import random
-from types import SimpleNamespace
+from operator import gt, lt
 
 import pytest
 
 from repro.config import paper_default, tiny_test, toy_example
-from repro.topology import PLACEMENT_INDEX_ENV, CapacityIndex, MaxSegmentTree, build_cluster
+from repro.state import state_backend
+from repro.topology import (
+    PLACEMENT_INDEX_ENV,
+    Box,
+    Brick,
+    Cluster,
+    MaxSegmentTree,
+    Rack,
+    build_cluster,
+)
 from repro.types import RESOURCE_ORDER, ResourceType
 
 
@@ -51,21 +61,6 @@ class TestMaxSegmentTree:
         tree.update(5, 1)
         assert tree.max_all() == 5
         assert tree.leftmost_at_least(5) == 2
-
-    def test_best_fit_in_range_prefers_tightest_then_lowest(self):
-        tree = MaxSegmentTree([9, 4, 6, 4, 8])
-        # Smallest value >= 3 is 4, first reached at position 1.
-        assert tree.best_fit_in_range(3, 0, 5) == 1
-        assert tree.best_fit_in_range(5, 0, 5) == 2
-        assert tree.best_fit_in_range(9, 0, 5) == 0
-        assert tree.best_fit_in_range(10, 0, 5) is None
-        assert tree.best_fit_in_range(3, 2, 4) == 3
-
-    def test_positions_at_least_ascending(self):
-        tree = MaxSegmentTree([3, 0, 5, 5, 2, 7, 0])
-        assert tree.positions_at_least(3) == [0, 2, 3, 5]
-        assert tree.positions_at_least(3, 1, 4) == [2, 3]
-        assert tree.positions_at_least(100) == []
 
     def test_single_and_empty(self):
         assert MaxSegmentTree([4]).leftmost_at_least(4) == 0
@@ -214,50 +209,6 @@ class TestCapacityIndexQueries:
         )
 
 
-class _SpanCluster:
-    """The slice of the ``Cluster`` interface :class:`CapacityIndex` reads,
-    over racks of arbitrary size (empty ones and long ones included) with
-    random availabilities."""
-
-    def __init__(self, rack_sizes, capacity, rng):
-        self.num_racks = len(rack_sizes)
-        racks = [rack for rack, size in enumerate(rack_sizes) for _ in range(size)]
-        self._boxes = [
-            SimpleNamespace(
-                box_id=pos,
-                rack_index=rack,
-                capacity_units=capacity,
-                avail_units=rng.randint(0, capacity),
-            )
-            for pos, rack in enumerate(racks)
-        ]
-
-    def pod_rack_ranges(self):
-        return ()
-
-    def boxes(self, rtype):
-        return self._boxes
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_fitting_boxes_in_rack_fold_matches_tree(seed):
-    """The fold over a rack's leaf slice lists exactly the tree's
-    ``positions_at_least`` boxes, for racks of any length."""
-    rng = random.Random(seed)
-    sizes = [0, 1, 2, 6, 32, 33, 0, 64, 3]
-    capacity = 16
-    index = CapacityIndex(_SpanCluster(sizes, capacity, rng))
-    tindex = index._types[ResourceType.CPU]
-    for rack_index in range(len(sizes)):
-        lo, hi = tindex.rack_spans[rack_index]
-        assert hi - lo == sizes[rack_index]
-        for units in range(capacity + 2):
-            want = [
-                tindex.boxes[p] for p in tindex.tree.positions_at_least(units, lo, hi)
-            ]
-            assert index.fitting_boxes_in_rack(ResourceType.CPU, units, rack_index) == want
-
-
 # --------------------------------------------------------------------- #
 # Randomized property: index vs oracle over mixed op sequences
 # --------------------------------------------------------------------- #
@@ -336,3 +287,154 @@ def test_random_ops_match_oracle(spec_factory, seed):
     # Full teardown: releasing everything restores a pristine frontier.
     cluster.restore(cluster.snapshot())
     check_all_queries(cluster, rng)
+
+
+# --------------------------------------------------------------------- #
+# Brute-force oracle over every public query, racks of 0/1/2/6 boxes
+# --------------------------------------------------------------------- #
+
+#: Boxes of each type per rack (CPU, RAM, STORAGE); two pods of three racks.
+UNEVEN_RACKS = [(0, 2, 1), (1, 0, 2), (2, 6, 0), (6, 1, 6), (2, 2, 0), (1, 2, 2)]
+UNEVEN_POD_OF_RACK = [0, 0, 0, 1, 1, 1]
+UNEVEN_BRICKS = (4, 4)
+
+
+def build_uneven_cluster():
+    """Hand-built cluster whose racks hold 0, 1, 2 and 6 boxes of a type."""
+    racks = [Rack(index=r, pod_index=pod) for r, pod in enumerate(UNEVEN_POD_OF_RACK)]
+    box_id = 0
+    for rack, counts in zip(racks, UNEVEN_RACKS):
+        for rtype, count in zip(RESOURCE_ORDER, counts):
+            for idx in range(count):
+                bricks = [
+                    Brick(index=i, rtype=rtype, capacity_units=cap)
+                    for i, cap in enumerate(UNEVEN_BRICKS)
+                ]
+                rack.attach_box(Box(box_id, rtype, rack.index, idx, bricks))
+                box_id += 1
+    cluster = Cluster(racks)
+    for box in cluster.all_boxes():
+        box.bind_listener(cluster.on_box_change)
+    return cluster
+
+
+def scan(cluster, rtype, units, racks):
+    """Boxes of ``rtype`` on ``racks`` (any container) that fit, in order."""
+    return [
+        b for b in cluster.boxes(rtype) if b.rack_index in racks and b.can_fit(units)
+    ]
+
+
+def tightest(boxes, pick):
+    """The naive best/worst-fit fold: strict comparison, first wins ties."""
+    best = None
+    for box in boxes:
+        if best is None or pick(box.avail_units, best.avail_units):
+            best = box
+    return best
+
+
+def assert_index_equals_scan(cluster, rng):
+    index = cluster.capacity_index
+    num_racks = cluster.num_racks
+    all_racks = range(num_racks)
+    for rtype in RESOURCE_ORDER:
+        for rack in all_racks:
+            boxes = cluster.rack(rack).boxes(rtype)
+            top = max((b.avail_units for b in boxes), default=0)
+            assert index.rack_max_avail(rtype, rack) == top
+            assert cluster.rack(rack).total_avail(rtype) == sum(
+                b.avail_units for b in boxes
+            )
+        assert cluster.verify_totals(rtype)
+        for units in sorted({0, 1, rng.randint(1, 8), 8, 9}):
+            fits = scan(cluster, rtype, units, all_racks)
+            assert index.first_fit(rtype, units) is (fits[0] if fits else None)
+            assert index.fitting_boxes(rtype, units) == fits
+            assert index.best_fit(rtype, units) is tightest(fits, lt)
+            assert index.worst_fit(rtype, units) is tightest(fits, gt)
+            for rack in all_racks:
+                in_rack = scan(cluster, rtype, units, {rack})
+                assert index.first_fit_in_rack(rtype, units, rack) is (
+                    in_rack[0] if in_rack else None
+                )
+                assert index.best_fit_in_rack(rtype, units, rack) is tightest(in_rack, lt)
+                assert index.fitting_boxes_in_rack(rtype, units, rack) == in_rack
+            for pod in range(cluster.num_pods):
+                lo, hi = cluster.pod_rack_range(pod)
+                in_pod = scan(cluster, rtype, units, range(lo, hi))
+                assert index.first_fit_in_pod(rtype, units, pod) is (
+                    in_pod[0] if in_pod else None
+                )
+                assert index.best_fit_in_pod(rtype, units, pod) is tightest(in_pod, lt)
+                pod_boxes = [b for b in cluster.boxes(rtype) if lo <= b.rack_index < hi]
+                assert index.pod_max_avail(rtype, pod) == max(
+                    (b.avail_units for b in pod_boxes), default=0
+                )
+            allowed = frozenset(r for r in all_racks if rng.random() < 0.5)
+            exclude = rng.choice([None, *all_racks])
+            want = scan(cluster, rtype, units, allowed - {exclude})
+            got = index.first_fit_in_racks(rtype, units, allowed, exclude_rack=exclude)
+            assert got is (want[0] if want else None)
+            got = index.first_fit_in_racks(rtype, units, exclude_rack=exclude)
+            want = scan(cluster, rtype, units, set(all_racks) - {exclude})
+            assert got is (want[0] if want else None)
+            runs = [(3, 6), (0, 2), (2, 3)]
+            for rack_filter in (None, allowed):
+                want = [
+                    b
+                    for lo, hi in runs
+                    for b in scan(cluster, rtype, units, range(lo, hi))
+                    if rack_filter is None or b.rack_index in rack_filter
+                ]
+                got = index.first_fit_in_rack_runs(rtype, units, runs, rack_filter)
+                assert got is (want[0] if want else None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("backend", ["arrays", "objects"])
+def test_index_matches_scan_under_random_walk(backend, seed):
+    """Property: after every allocate / release / batched release / drain /
+    snapshot / restore / cache rebuild, each public ``CapacityIndex`` query
+    equals a linear scan over the live boxes — on both state backends, over
+    racks holding 0, 1, 2 and 6 boxes of a type.  A stale rack leaf (an
+    upkeep path that skips a tree update when a rack's max moves) shows up
+    at once in the per-rack ``rack_max_avail`` check."""
+    rng = random.Random(seed)
+    with state_backend(backend):
+        cluster = build_uneven_cluster()
+    assert cluster.capacity_index is not None
+    assert (cluster.state_arrays is not None) == (backend == "arrays")
+    live = []  # (box, receipt)
+    snapshots = []
+    for _ in range(150):
+        op = rng.random()
+        if op < 0.45:
+            boxes = [b for b in cluster.all_boxes() if b.avail_units > 0]
+            if boxes:
+                box = rng.choice(boxes)
+                live.append((box, box.allocate(rng.randint(1, box.avail_units))))
+        elif op < 0.65:
+            if live:
+                box, receipt = live.pop(rng.randrange(len(live)))
+                box.release(receipt)
+        elif op < 0.78:
+            batch = [live.pop(rng.randrange(len(live))) for _ in range(min(len(live), 5))]
+            receipts = [receipt for _, receipt in batch]
+            if cluster.state_arrays is not None and not cluster.drained_racks:
+                cluster.apply_release_batch(receipts)
+            else:
+                for box, receipt in batch:
+                    box.release(receipt)
+        elif op < 0.83:
+            cluster.drain_racks([rng.randrange(cluster.num_racks)])
+        elif op < 0.91:
+            snapshots.append((cluster.snapshot(), list(live)))
+        elif op < 0.97:
+            if snapshots:
+                snap, live_at_snap = snapshots[rng.randrange(len(snapshots))]
+                cluster.restore(snap)
+                live = list(live_at_snap)
+        else:
+            cluster.rebuild_caches()
+        assert_index_equals_scan(cluster, rng)
