@@ -86,8 +86,7 @@ def run_backend(mode: str, scheduler: str, vms, repeats: int = 3):
     for _ in range(repeats):
         with state_backend(mode):
             log = EventLog()
-            sim = DDCSimulator(scaled(CORE_RACKS), scheduler, event_log=log,
-                               engine="flat")
+            sim = DDCSimulator(scaled(CORE_RACKS), scheduler, event_log=log)
         start = time.perf_counter()
         result = sim.run(vms)
         best = min(best, time.perf_counter() - start)

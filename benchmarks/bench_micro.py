@@ -2,8 +2,9 @@
 
 These are genuine pytest-benchmark measurements (many rounds) of the
 operations that dominate Figures 11-12: a single scheduling decision per
-algorithm at steady-state utilization, a fabric circuit round-trip, and a
-DES event cycle.
+algorithm at steady-state utilization, a fabric circuit round-trip, and
+the Equation (1) energy kernel.  Flat-engine dispatch cost is the e2e
+ledger's ``sim.engine_us_per_event``.
 """
 
 import itertools
@@ -14,7 +15,6 @@ from repro.config import paper_default
 from repro.network import NetworkFabric
 from repro.photonics import path_switch_energy_j
 from repro.schedulers import PAPER_SCHEDULERS, create_scheduler
-from repro.sim import Environment
 from repro.topology import build_cluster
 from repro.types import ResourceType
 from repro.workloads import generate_synthetic, resolve_all
@@ -63,23 +63,6 @@ def test_fabric_circuit_roundtrip(benchmark):
         fabric.release(circuit)
 
     benchmark(roundtrip)
-
-
-def test_des_event_throughput(benchmark):
-    """Cost of 1000 timeout events through the engine."""
-
-    def run_events():
-        env = Environment()
-
-        def proc():
-            for _ in range(1000):
-                yield env.timeout(1.0)
-
-        env.process(proc())
-        env.run()
-        return env.now
-
-    assert benchmark(run_events) == 1000.0
 
 
 def test_energy_model_kernel(benchmark):

@@ -102,7 +102,7 @@ def run_placement(mode: str, scheduler: str, vms, repeats: int = 2):
     summary = None
     for _ in range(repeats):
         with placement_mode(mode):
-            sim = DDCSimulator(scaled(PLACEMENT_RACKS), scheduler, engine="flat")
+            sim = DDCSimulator(scaled(PLACEMENT_RACKS), scheduler)
         result = sim.run(vms)
         summary = result.summary.as_dict()
         best = min(best, summary.pop("scheduler_time_s"))

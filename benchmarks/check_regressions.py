@@ -12,7 +12,7 @@ nightly run, not the gate.
 The tolerance is deliberately loose (default 3x): shared CI runners are
 noisy, and the gate is after order-of-magnitude cliffs (an accidentally
 quadratic loop, a dropped cache), not single-digit-percent drift.  The
-benchmark files' own asserted ratio gates (flat >= 2x, indexed >= 3x, ...)
+benchmark files' own asserted ratio gates (indexed >= 3x, fork >= 3x, ...)
 stay the precision instruments; this is the coarse net under everything
 else.
 
@@ -22,10 +22,9 @@ After an intentional perf change (or to enroll new benchmarks), regenerate
 the quick-mode results and rewrite the baseline::
 
     REPRO_BENCH_QUICK=1 REPRO_BENCH_RESULTS=/tmp/bench.json \\
-        python -m pytest benchmarks/bench_engine.py benchmarks/bench_micro.py \\
+        python -m pytest benchmarks/bench_micro.py \\
             benchmarks/bench_scaling.py benchmarks/bench_fabric.py \\
             benchmarks/bench_checkpoint.py benchmarks/bench_array_core.py \\
-            benchmarks/bench_event_batching.py \\
             benchmarks/bench_workload_stream.py -q
     python benchmarks/check_regressions.py --results /tmp/bench.json --update
 

@@ -7,10 +7,7 @@ once per session (``rounds=1``) — the measured quantity is the end-to-end
 experiment wall time; the *output* is the regenerated figure, printed so
 ``pytest benchmarks/ --benchmark-only -s`` shows the ASCII figures.
 
-Set ``REPRO_BENCH_QUICK=1`` to run the reduced workloads instead, and
-``REPRO_BENCH_ENGINE=flat|generator`` to pick the simulation engine every
-benchmarked experiment runs on (it is forwarded to ``REPRO_SIM_ENGINE``, the
-process-wide default the simulator reads).
+Set ``REPRO_BENCH_QUICK=1`` to run the reduced workloads instead.
 
 Every benchmark session also merges its measurements into a consolidated
 ``BENCH_results.json`` (override the path with ``REPRO_BENCH_RESULTS``):
@@ -29,10 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.memstats import peak_rss_bytes
-
-if "REPRO_BENCH_ENGINE" in os.environ:
-    os.environ["REPRO_SIM_ENGINE"] = os.environ["REPRO_BENCH_ENGINE"]
-
 
 def bench_quick() -> bool:
     """Whether to run reduced-size workloads."""

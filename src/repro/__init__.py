@@ -53,7 +53,7 @@ from .schedulers import (
     create_scheduler,
     register_scheduler,
 )
-from .sim import DDCSimulator, Environment, SimulationResult, simulate
+from .sim import DDCSimulator, SimulationResult, simulate
 from .topology import Cluster, build_cluster, prime_availability
 from .types import ResourceType, ResourceVector
 from .workloads import (
@@ -79,7 +79,6 @@ __all__ = [
     "DDCConfig",
     "DDCSimulator",
     "EnergyConfig",
-    "Environment",
     "LatencyConfig",
     "LinkSelectionPolicy",
     "MetricsCollector",

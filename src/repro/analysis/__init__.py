@@ -1,4 +1,4 @@
-"""Analysis helpers: comparisons, ASCII rendering, fragmentation, series."""
+"""Analysis helpers: comparisons, ASCII rendering, fragmentation, stats."""
 
 from .ascii_plot import ascii_bars, ascii_table, grouped_bars
 from .comparison import ComparisonResult, compare_schedulers
@@ -12,23 +12,13 @@ from .fragmentation import (
     rack_utilization,
     stranding_report,
 )
-from .timeseries import (
-    UtilizationSeries,
-    all_demand_series,
-    concurrency_series,
-    demand_series,
-)
 
 __all__ = [
     "ComparisonResult",
     "StrandingReport",
-    "UtilizationSeries",
-    "all_demand_series",
     "ascii_bars",
     "ascii_table",
     "compare_schedulers",
-    "concurrency_series",
-    "demand_series",
     "fragmentation_summary",
     "grouped_bars",
     "largest_placeable",

@@ -56,9 +56,8 @@ def compare_schedulers(
     vms: Iterable[VMRequest],
     schedulers: Sequence[str] = PAPER_SCHEDULERS,
     workload_name: str = "workload",
-    engine: str | None = None,
 ) -> ComparisonResult:
     """Run each scheduler on a fresh cluster over the same trace."""
     trace = list(vms)
-    results = tuple(simulate(spec, name, trace, engine=engine) for name in schedulers)
+    results = tuple(simulate(spec, name, trace) for name in schedulers)
     return ComparisonResult(workload_name=workload_name, results=results)

@@ -41,7 +41,7 @@ from ..analysis.ascii_plot import ascii_table
 from ..analysis.fragmentation import fragmentation_summary
 from ..config import ClusterSpec, PRESETS, paper_default
 from ..network import NetworkFabric
-from ..sim import DDCSimulator, ENGINES, EventLog
+from ..sim import DDCSimulator, EventLog
 from ..topology import build_cluster
 from ..types import ResourceVector
 from ..errors import SimulationError, TopologyError, WorkloadError
@@ -147,15 +147,6 @@ def render_topology(spec: ClusterSpec) -> str:
     return "\n".join(lines)
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="simulation engine (default: flat; 'generator' is the reference engine)",
-    )
-
-
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
@@ -191,11 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scheduler on one workload")
     p.add_argument("scheduler", choices=sorted(ALL_SCHEDULERS))
     _add_workload_flags(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("compare", help="run the paper's four schedulers")
     _add_workload_flags(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("generate", help="write a workload trace to JSONL")
     p.add_argument("output", help="output JSONL path")
@@ -206,13 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--until", type=float, default=None,
                    help="simulation time to snapshot at (default: peak load)")
     _add_workload_flags(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("events", help="export the structured event log")
     p.add_argument("scheduler", choices=sorted(ALL_SCHEDULERS))
     p.add_argument("output", help="output JSONL path")
     _add_workload_flags(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("stats", help="multi-seed comparison with CIs")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds")
@@ -263,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=0, help="truncate to N VMs")
     p.add_argument("--parallel", type=int, default=1,
                    help="fan runs across N worker processes")
-    _add_engine_flag(p)
 
     p = sub.add_parser(
         "scenarios",
@@ -438,15 +424,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "simulate":
         vms = _workload_from_args(args)
-        result = simulate(paper_default(), args.scheduler, vms, engine=args.engine)
+        result = simulate(paper_default(), args.scheduler, vms)
         for key, value in result.summary.as_dict().items():
             print(f"{key:32s} {value}")
         return 0
 
     if args.command == "compare":
         vms = _workload_from_args(args)
-        comparison = compare_schedulers(paper_default(), vms, PAPER_SCHEDULERS,
-                                        engine=args.engine)
+        comparison = compare_schedulers(paper_default(), vms, PAPER_SCHEDULERS)
         print(
             comparison.table(
                 [
@@ -475,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # Snapshot at the median departure: near peak concurrency.
             departures = sorted(vm.departure for vm in vms)
             until = departures[len(departures) // 2]
-        sim = DDCSimulator(paper_default(), args.scheduler, engine=args.engine)
+        sim = DDCSimulator(paper_default(), args.scheduler)
         sim.run(vms, until=until)
         print(f"cluster occupancy at t={until:g} under {args.scheduler}:")
         print(placement_map(sim.cluster))
@@ -490,8 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "events":
         vms = _workload_from_args(args)
         log = EventLog()
-        sim = DDCSimulator(paper_default(), args.scheduler, event_log=log,
-                           engine=args.engine)
+        sim = DDCSimulator(paper_default(), args.scheduler, event_log=log)
         sim.run(vms)
         log.audit()
         count = log.save(args.output)
@@ -562,11 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "sweep":
-        session = SimulationSession(
-            paper_default(),
-            parallel=args.parallel,
-            engine=args.engine,
-        )
+        session = SimulationSession(paper_default(), parallel=args.parallel)
         try:
             result = session.sweep(
                 schedulers=tuple(args.schedulers),

@@ -372,7 +372,7 @@ def run_scenario_tree(
     dispatched chunk, for every branch) and produces the same digests and
     summaries as the object-trace form.
     """
-    sim = DDCSimulator(spec, scheduler, engine="flat", keep_records=keep_records)
+    sim = DDCSimulator(spec, scheduler, keep_records=keep_records)
     sim.start_run(vms)
     fork_time = tree.fork_time(vms)
     sim.advance(until=fork_time)

@@ -35,7 +35,7 @@ from ..errors import SimulationError
 from ..memstats import peak_rss_bytes
 from ..metrics import RunSummary, aggregate_summaries
 from ..schedulers import PAPER_SCHEDULERS
-from ..sim import DDCSimulator, default_engine
+from ..sim import DDCSimulator
 from ..workloads import VMRequest
 from .scenarios import ScenarioOutcome, ScenarioResult, ScenarioTree, run_scenario_tree
 from .workload_cache import cached_columns
@@ -52,12 +52,10 @@ class SweepPoint:
     seed: int = 0
     workload: str = "synthetic"
     count: int | None = None
-    #: None resolves to the worker's process-wide default engine.
-    engine: str | None = None
     #: Sweeps only ship summary scalars back, so per-VM record retention
     #: defaults off — metric memory stays O(1) in trace length.
     keep_records: bool = False
-    #: Arrival-resolution batch size (None = the engine default).  The
+    #: Arrival-resolution batch size (None = the simulator default).  The
     #: worker keeps at most one chunk of resolved request objects resident.
     chunk_size: int | None = None
     #: Cluster preset name (a :data:`~repro.config.PRESETS` key).  When set
@@ -174,7 +172,6 @@ def _run_point(point: SweepPoint) -> SweepOutcome:
     simulator = DDCSimulator(
         spec,
         point.scheduler,
-        engine=point.engine,
         keep_records=point.keep_records,
         chunk_size=point.chunk_size,
     )
@@ -193,7 +190,7 @@ class ScenarioPoint:
 
     The whole branch set of one (scheduler, seed) rides in a single point —
     that granularity is what lets the worker share the warm prefix across
-    branches.  Scenario runs always use the flat engine (forks require it).
+    branches.
     """
 
     scheduler: str
@@ -234,8 +231,7 @@ class SimulationSession:
 
     ``parallel=1`` executes in-process (no pool, no pickling) — the path
     tests and small sweeps use; ``parallel=N`` spins up at most N workers,
-    each initialized once with the session's spec.  ``engine=None`` resolves
-    to the process-wide default (``REPRO_SIM_ENGINE`` or flat).
+    each initialized once with the session's spec.
     ``keep_records=False`` (the default) runs every point with per-VM record
     retention off — sweeps only consume summary scalars, so long traces no
     longer accumulate O(trace) ``VMRecord`` lists in the workers.
@@ -245,17 +241,15 @@ class SimulationSession:
         self,
         spec: ClusterSpec | None = None,
         parallel: int = 1,
-        engine: str | None = None,
         keep_records: bool = False,
         chunk_size: int | None = None,
     ) -> None:
         self.spec = spec if spec is not None else paper_default()
         self.parallel = max(1, int(parallel))
-        self.engine = default_engine() if engine is None else engine
         self.keep_records = keep_records
         #: Arrival-resolution batch size forwarded to every point — bounds
         #: each worker to one resolved chunk of request objects at a time
-        #: regardless of trace length (None = engine default).
+        #: regardless of trace length (None = simulator default).
         self.chunk_size = chunk_size
 
     def _map_points(
@@ -304,7 +298,6 @@ class SimulationSession:
                 seed=seed,
                 workload=workload,
                 count=count,
-                engine=self.engine,
                 keep_records=self.keep_records,
                 chunk_size=self.chunk_size,
             )
@@ -338,7 +331,7 @@ class SimulationSession:
         included) off the same :class:`~repro.sim.simulator.RunCheckpoint` —
         on an N-branch tree forked at fraction f, that replaces N cold
         full-trace runs with one prefix plus N suffixes (~``1 + N·(1-f)``
-        trace-equivalents).  Scenario runs always use the flat engine.
+        trace-equivalents).
         """
         points = [
             ScenarioPoint(

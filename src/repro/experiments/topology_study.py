@@ -128,7 +128,6 @@ def run_topology_study(
             seed=seed,
             workload=workload,
             count=count,
-            engine=session.engine,
             keep_records=session.keep_records,
             chunk_size=session.chunk_size,
             preset=preset,

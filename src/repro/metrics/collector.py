@@ -163,15 +163,15 @@ class MetricsCollector:
         sample (their version counters match), every utilization reads the
         same value — drop-heavy runs hit this constantly: a rejected VM
         touches no state, so the tick only advances the gauges' pending
-        clock (a scalar store under the lazy bank).
+        clock (a scalar store in the bank).
 
         When the versions *did* change, the fresh utilizations are compared
         against the current gauge values and the integrals fold only when at
         least one actually differs.  The collector — not the gauges — owns
         this change gate on purpose: the fold points (which define the exact
         IEEE-754 grouping of the accumulated averages) become a pure
-        function of the sampled value series, identical across engines,
-        state backends, batching on/off, and cold vs restored runs.  In
+        function of the sampled value series, identical across state
+        backends, per-event vs batched departures, and cold vs restored runs.  In
         particular, a restored collector's forced recompute (versions reset
         to ``-1``) lands on equal values and takes the same no-fold path the
         uninterrupted run took.

@@ -28,52 +28,23 @@ the run.
 
 Because ``v*dt1 + v*dt2 != v*(dt1+dt2)`` in IEEE-754, the fold *points* are
 what define the bit-exact semantics.  The metrics collector places them only
-where a freshly sampled value differs from the current one, identically in
-every configuration — both gauge stores, both simulation engines, both state
-backends, and both settings of each performance knob — which is what keeps
-run summaries bit-identical across all of those A/B axes.
+where a freshly sampled value differs from the current one, identically
+whether samples arrive one event at a time or as a batched departure run,
+for both gauge stores and both state backends — which is what keeps run
+summaries bit-identical across those paths.
 
 Checkpoint transparency: snapshots capture the raw pending register (the
 six scalars include the pending clock) and restores write it back verbatim.
 A snapshot never folds, so a continuation folds the deferred interval from
 the *original* ``since`` — grouping the accumulation exactly as the
 uninterrupted run does across a snapshot/restore/fork cut.
-
-``REPRO_LAZY_GAUGES=off`` (or, when unset, ``REPRO_EVENT_BATCHING=off``)
-keeps the bank materializing a running-integral view on every tick — the
-pre-batching per-event cost shape, for A/B benchmarks.  The folded base
-registers stay authoritative in both modes, so the knob changes cost, never
-bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..errors import SimulationError
-
-#: Environment variable gating the bank's lazy deferral (``on``/``off``).
-LAZY_GAUGES_ENV = "REPRO_LAZY_GAUGES"
-
-#: Master batching knob (defined by :mod:`repro.sim.simulator`; read here as
-#: the fallback so ``REPRO_EVENT_BATCHING=off`` restores the whole per-event
-#: baseline in one switch).
-_BATCHING_ENV = "REPRO_EVENT_BATCHING"
-
-
-def lazy_gauges_enabled() -> bool:
-    """Whether banks defer gauge folding (read once per construction)."""
-    mode = os.environ.get(LAZY_GAUGES_ENV)
-    if mode is None:
-        mode = os.environ.get(_BATCHING_ENV, "on")
-    if mode not in ("on", "off"):
-        raise SimulationError(
-            f"{LAZY_GAUGES_ENV}={mode!r} is not a known mode; "
-            "choose from ('on', 'off')"
-        )
-    return mode == "on"
 
 
 class TimeWeightedGauge:
@@ -261,47 +232,31 @@ class GaugeBank:
     """
 
     __slots__ = (
-        "names", "_index", "_now", "_since", "_lazy", "_materialized",
+        "names", "_index", "_now", "_since",
         "value", "last_time", "start_time", "integral", "peak",
     )
 
-    def __init__(
-        self, names: tuple[str, ...] | list[str], lazy: bool | None = None
-    ) -> None:
+    def __init__(self, names: tuple[str, ...] | list[str]) -> None:
         if len(set(names)) != len(names):
             raise SimulationError(f"duplicate gauge names: {names}")
         self.names = tuple(names)
         self._index = {name: i for i, name in enumerate(self.names)}
         self._now = 0.0  # shared pending clock
         self._since = 0.0  # scalar mirror of the (lockstep) last_time column
-        self._lazy = lazy_gauges_enabled() if lazy is None else bool(lazy)
         n = len(self.names)
         self.value = [0.0] * n
         self.last_time = [0.0] * n
         self.start_time = [0.0] * n
         self.integral = [0.0] * n
         self.peak = [0.0] * n
-        # Eager (lazy-off) mode keeps a per-tick materialized running
-        # integral — the pre-batching cost shape for A/B runs.  The folded
-        # base above stays authoritative either way, so both modes are
-        # bit-identical.
-        self._materialized = np.zeros(n, dtype=np.float64)
 
     def advance_all(self, now: float) -> None:
-        """Advance every gauge's pending clock without folding.
-
-        Lazy mode is two scalar ops; eager mode additionally materializes
-        the running-integral view (``folded + value * (now - since)``) as a
-        numpy array on every tick.
-        """
+        """Advance every gauge's pending clock without folding."""
         if now < self._now:
             raise SimulationError(
                 f"gauge clock moved backwards: {now} < {self._now}"
             )
         self._now = now
-        if not self._lazy:
-            np.multiply(self.value, now - self._since, out=self._materialized)
-            self._materialized += self.integral
 
     def _set_since(self, since: float) -> None:
         self.last_time[:] = [since] * len(self.last_time)
@@ -341,7 +296,7 @@ class GaugeBank:
         This is the fold barrier; the collector only routes a sample here
         when at least one value changed (unchanged ticks take
         :meth:`advance_all`), which is what pins the fold points — and so
-        the summary bits — independently of any batching/laziness knob.
+        the summary bits — whether samples arrive per event or batched.
         """
         self.advance_all(now)
         self._fold_rows((now,), (values,))

@@ -1,44 +1,18 @@
-"""Discrete-event simulation: the flat calendar engine, the generator-based
-reference engine, and the DDC driver."""
+"""Discrete-event simulation: the flat calendar engine and the DDC driver."""
 
-from .conditions import AllOf, AnyOf
 from .engine import EngineSnapshot, FlatEngine
-from .environment import Environment, Process
 from .event_log import EventLog, SimEvent
-from .events import Event, Timeout
-from .resources import SimResource, SimStore
 from .results import SimulationResult
-from .simulator import (
-    BATCHING_ENV_VAR,
-    ENGINES,
-    DDCSimulator,
-    RunCheckpoint,
-    SimCheckpoint,
-    default_engine,
-    event_batching_enabled,
-    simulate,
-)
+from .simulator import DDCSimulator, RunCheckpoint, SimCheckpoint, simulate
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "BATCHING_ENV_VAR",
     "DDCSimulator",
-    "ENGINES",
     "EngineSnapshot",
-    "Environment",
-    "Event",
     "EventLog",
     "FlatEngine",
-    "Process",
     "RunCheckpoint",
-    "SimResource",
     "SimEvent",
-    "SimStore",
     "SimulationResult",
-    "Timeout",
-    "default_engine",
-    "event_batching_enabled",
     "SimCheckpoint",
     "simulate",
 ]

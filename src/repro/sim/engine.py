@@ -1,21 +1,17 @@
-"""Flat typed-event calendar: the simulator's production engine.
+"""Flat typed-event calendar: the simulator's engine.
 
-The generator engine in :mod:`repro.sim.environment` models every VM as a
-Python generator ``Process`` with a bootstrap ``Event`` and two ``Timeout``\\ s
-— flexible, but it materializes the whole trace up-front and pays generator
-frames, callback indirection, and three heap pushes per VM.  A DDC trace only
-ever produces two event kinds, so the calendar can be *typed* and flat:
+A DDC trace only ever produces two event kinds, so the calendar is *typed*
+and flat — no generator processes, no callbacks:
 
 * **arrivals** come pre-sorted by arrival time and are consumed lazily from
   an iterator — O(1) engine state per pending arrival, O(active VMs) overall
   when the caller streams the trace;
 * **departures** live on a binary heap of ``(time, sequence, payload)``.
 
-Tie-breaking replicates the generator engine exactly, so both engines emit
-bit-identical event streams: at equal times arrivals fire before departures
-(every arrival timeout is scheduled during bootstrap, before any departure
-timeout exists, and the heap orders equal times by scheduling sequence), and
-equal-time departures fire in placement-commit order.
+Two tie rules fix the event order, and with it every digest: at equal times
+arrivals fire before departures, and equal-time departures fire in the order
+their placements were committed (the heap's ``sequence``).  Equal-time
+arrivals keep trace order.
 
 The calendar is *resumable*: :meth:`bind_arrivals` attaches the arrival
 stream once and :meth:`advance` drives it any number of times (optionally up
@@ -172,11 +168,11 @@ class FlatEngine:
 
         Returns the final clock.  With ``until`` given, events strictly after
         ``until`` are left unprocessed and the clock lands exactly on
-        ``until`` — matching ``Environment.run`` semantics, so a partial run
-        leaves cluster state comparable across engines.  Calling
-        :meth:`advance` again continues from where the last call stopped.
+        ``until``.  Calling :meth:`advance` again continues from where the
+        last call stopped.
 
-        With ``on_departures`` given, runs of consecutive departures are
+        Without ``on_departures``, each departure goes to ``on_departure``
+        on its own.  With ``on_departures`` given, runs of consecutive departures are
         drained in one sweep — every departure up to (strictly before) the
         next pending arrival and within ``until`` pops in exact heap order
         into one list, the clock jumps to the last entry, and the whole run
@@ -196,7 +192,7 @@ class FlatEngine:
             if pending is not None and (
                 not departures or pending.vm.arrival <= departures[0][0]
             ):
-                # Arrival next (ties go to arrivals, like the generator engine).
+                # Arrival next (ties go to arrivals).
                 time = pending.vm.arrival
                 if time < self._now:
                     raise SimulationError(

@@ -7,23 +7,19 @@ placed — departs after its lifetime, releasing compute and network
 resources.  Scheduler decision time is measured with ``perf_counter`` around
 the ``schedule()`` call only, which is the Figure 11/12 quantity.
 
-Two engines drive the same lifecycle:
-
-* ``engine="flat"`` (default) — the typed arrival/departure calendar in
-  :mod:`repro.sim.engine`: arrivals stream lazily from the trace, departures
-  sit on a heap, and schedule/drop/release run as direct calls.  O(active
-  VMs) engine state, no generator or callback overhead.
-* ``engine="generator"`` — the reference engine in
-  :mod:`repro.sim.environment`: one generator process per VM.  Kept for
-  cross-validation; the equivalence tests pin both engines to bit-identical
-  event streams and summaries.
-
-The default can be overridden process-wide with the ``REPRO_SIM_ENGINE``
-environment variable (used by the benchmark harness).
+The calendar is :class:`~repro.sim.engine.FlatEngine`: arrivals stream lazily
+from the trace, departures sit on a heap, and schedule/drop/release run as
+direct calls.  Its tie rules fix the event order: at equal times arrivals fire
+before departures, and equal-time departures fire in placement-commit order.
+Every run of consecutive departures (up to the next arrival) reaches
+:meth:`DDCSimulator._handle_departure_batch`, which releases it with fused
+array arithmetic, or one event at a time when the batch is small, a rack is
+drained, the state is not array-backed, or the scheduler overrides
+``release``.  Both routes produce the same bits.
 
 Forkable runs
 -------------
-Beyond the one-shot :meth:`DDCSimulator.run`, the flat engine supports a
+Beyond the one-shot :meth:`DDCSimulator.run`, the simulator supports a
 *stateful* run protocol for what-if studies: :meth:`start_run` binds the
 trace, :meth:`advance` drives it to any horizon, :meth:`full_checkpoint`
 captures the complete run state in O(cluster + links + active VMs) — compute
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import time as _time
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -59,41 +54,15 @@ from ..workloads import (
     ResolvedRequest,
     TraceColumns,
     VMRequest,
-    resolve_all,
     resolve_iter,
 )
 from .engine import EngineSnapshot, FlatEngine
-from .environment import Environment
 from .event_log import EventLog
 from .results import SimulationResult
-
-#: Engine names accepted by :class:`DDCSimulator`.
-ENGINES: tuple[str, ...] = ("flat", "generator")
-
-#: Environment variable overriding the process-wide default engine.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Environment variable toggling batched departure application (``on``, the
-#: default, or ``off`` for the per-event A/B baseline).  Latched at
-#: simulator construction.  Unless ``REPRO_LAZY_GAUGES`` overrides it, this
-#: knob also selects the gauge banks' lazy/eager mode, so one switch flips
-#: the whole per-event baseline back on.
-BATCHING_ENV_VAR = "REPRO_EVENT_BATCHING"
 
 #: Below this many departures a batch is applied through the scalar path:
 #: the numpy setup costs more than it saves on tiny runs.
 _MIN_FAST_BATCH = 4
-
-
-def event_batching_enabled() -> bool:
-    """Whether the flat engine drains departures in batches."""
-    mode = os.environ.get(BATCHING_ENV_VAR, "on")
-    if mode not in ("on", "off"):
-        raise SimulationError(
-            f"{BATCHING_ENV_VAR}={mode!r} is not a known mode; "
-            "choose from ('on', 'off')"
-        )
-    return mode == "on"
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,16 +112,6 @@ class RunCheckpoint:
     pending_faults: tuple = ()
 
 
-def default_engine() -> str:
-    """The engine used when none is requested explicitly."""
-    name = os.environ.get(ENGINE_ENV_VAR, "flat")
-    if name not in ENGINES:
-        raise SimulationError(
-            f"{ENGINE_ENV_VAR}={name!r} is not a known engine; choose from {ENGINES}"
-        )
-    return name
-
-
 class DDCSimulator:
     """Simulate one scheduler over one VM trace."""
 
@@ -163,11 +122,15 @@ class DDCSimulator:
         cluster: Cluster | None = None,
         fabric: NetworkFabric | None = None,
         event_log: EventLog | None = None,
-        engine: str | None = None,
+        engine: str = "flat",
         keep_records: bool = True,
         admission_threshold: float | None = None,
         chunk_size: int | None = None,
     ) -> None:
+        # ``engine`` survives only so callers that name the flat calendar
+        # explicitly keep working; it is the one engine there is.
+        if engine != "flat":
+            raise SimulationError(f"unknown engine {engine!r}; the only engine is 'flat'")
         self.spec = spec
         self.cluster = cluster if cluster is not None else build_cluster(spec)
         self.fabric = fabric if fabric is not None else NetworkFabric(spec, self.cluster)
@@ -185,11 +148,6 @@ class DDCSimulator:
             spec, self.cluster, self.fabric, keep_records=keep_records
         )
         self.event_log = event_log
-        self.engine = default_engine() if engine is None else engine
-        if self.engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
         #: Utilization-based admission control: a new arrival is rejected
         #: (dropped without consulting the scheduler) while any compute
         #: resource's cluster utilization exceeds this fraction.  ``None``
@@ -200,15 +158,10 @@ class DDCSimulator:
         #: Arrival-resolution batch size for columnar traces (how many VMs
         #: are resolved into request objects at a time).
         self.chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        # Batched departure application (latched at construction, like the
-        # engine choice).  The fused fast path additionally requires the
-        # array state backend on both cluster and fabric, the array gauge
-        # bank, and the stock release path — a scheduler that overrides
-        # release() gets the scalar loop, always.
-        self._batching = event_batching_enabled()
-        self._on_departures = (
-            self._handle_departure_batch if self._batching else None
-        )
+        # The fused departure path requires the array state backend on both
+        # cluster and fabric, the array gauge bank, and the stock release
+        # path — a scheduler that overrides release() gets the scalar loop,
+        # always.
         self._batch_fast = (
             self.cluster.state_arrays is not None
             and self.fabric.state_arrays is not None
@@ -250,8 +203,7 @@ class DDCSimulator:
         self.fabric.restore(checkpoint.fabric)
 
     # ------------------------------------------------------------------ #
-    # Shared lifecycle handlers (the flat engine calls these directly;
-    # the generator engine reaches them through _vm_process)
+    # Lifecycle handlers (the calendar calls these directly)
     # ------------------------------------------------------------------ #
 
     def _admission_rejects(self) -> bool:
@@ -298,7 +250,7 @@ class DDCSimulator:
     def _handle_departure_batch(
         self, batch: list[tuple[float, Placement]]
     ) -> None:
-        """Apply a run of consecutive departures from the flat engine.
+        """Apply a run of consecutive departures from the calendar.
 
         Tiny batches, non-array configurations, overridden scheduler
         release paths, and drained-rack states (whose sticky re-occupation
@@ -376,7 +328,7 @@ class DDCSimulator:
                 self.event_log.record(now, "departure", placement.vm_id)
 
     # ------------------------------------------------------------------ #
-    # Engines
+    # One-shot runs
     # ------------------------------------------------------------------ #
 
     def _arrival_ordered(
@@ -385,11 +337,11 @@ class DDCSimulator:
         """Lazily resolve the trace in arrival order.
 
         Already-sorted inputs stream without copies; unsorted ones get one
-        stable sort (preserving trace order among equal arrivals — the
-        generator engine's tie rule).  With ``stream=True`` a non-sequence
-        iterable is consumed lazily as-is — the caller guarantees arrival
-        order (the flat engine raises otherwise) and resolution errors
-        surface at the offending arrival instead of up-front.
+        stable sort (preserving trace order among equal arrivals).  With
+        ``stream=True`` a non-sequence iterable is consumed lazily as-is —
+        the caller guarantees arrival order (the calendar raises otherwise)
+        and resolution errors surface at the offending arrival instead of
+        up-front.
 
         A :class:`TraceColumns` trace never becomes a request list: it is
         (stably) sorted as arrays if needed and wrapped in a
@@ -407,41 +359,6 @@ class DDCSimulator:
         if any(vms[i].arrival > vms[i + 1].arrival for i in range(len(vms) - 1)):
             vms = sorted(vms, key=lambda vm: vm.arrival)
         return resolve_iter(vms, self.spec)
-
-    def _run_flat(
-        self, vms: Iterable[VMRequest] | TraceColumns, until: float | None, stream: bool
-    ) -> float:
-        engine = FlatEngine()
-        return engine.run(
-            self._arrival_ordered(vms, stream),
-            self._handle_arrival,
-            self._handle_departure,
-            until=until,
-            on_departures=self._on_departures,
-        )
-
-    def _vm_process(self, env: Environment, request: ResolvedRequest):
-        """Generator process: arrive, schedule-or-drop, dwell, release."""
-        yield env.timeout(request.vm.arrival)
-        placement = self._handle_arrival(request, env.now)
-        if placement is None:
-            return
-        yield env.timeout(request.vm.lifetime)
-        self._handle_departure(placement, env.now)
-
-    def _run_generator(
-        self, vms: Iterable[VMRequest] | TraceColumns, until: float | None
-    ) -> float:
-        if isinstance(vms, TraceColumns):
-            vms = vms.to_vms()
-        requests = resolve_all(list(vms), self.spec)
-        env = Environment()
-        for request in requests:
-            env.process(self._vm_process(env, request))
-        env.run(until=until)
-        return env.now
-
-    # ------------------------------------------------------------------ #
 
     def _result(self, end_time: float) -> SimulationResult:
         summary = summarize(self.scheduler.name, self.collector)
@@ -462,18 +379,17 @@ class DDCSimulator:
         """Run the trace to completion (or ``until``) and summarize.
 
         Any iterable of requests is accepted in any order (unsorted traces
-        are sorted first).  ``stream=True`` (flat engine only) instead
-        consumes a lazily-produced, arrival-sorted iterable without ever
-        materializing it — O(active VMs) memory for arbitrarily long traces.
-        A :class:`TraceColumns` trace always streams on the flat engine:
-        per-VM request objects exist only for the chunk currently being
-        dispatched.
+        are sorted first).  ``stream=True`` instead consumes a
+        lazily-produced, arrival-sorted iterable without ever materializing
+        it — O(active VMs) memory for arbitrarily long traces.  A
+        :class:`TraceColumns` trace always streams: per-VM request objects
+        exist only for the chunk currently being dispatched.
         """
         if self._pending_faults:
-            if self.engine != "flat" or stream:
+            if stream:
                 raise SimulationError(
-                    "a scheduled fault timeline requires the flat engine "
-                    "without stream=True (the run is driven statefully)"
+                    "a scheduled fault timeline cannot run with stream=True "
+                    "(the run is driven statefully)"
                 )
             # Route through the stateful machinery so the fault timeline
             # fires — this is the "cold run with the same fault schedule"
@@ -481,14 +397,17 @@ class DDCSimulator:
             self.start_run(vms)
             end_time = self.advance(until)
             return self._result(end_time)
-        if self.engine == "flat":
-            end_time = self._run_flat(vms, until, stream)
-        else:
-            end_time = self._run_generator(vms, until)
+        end_time = FlatEngine().run(
+            self._arrival_ordered(vms, stream),
+            self._handle_arrival,
+            self._handle_departure,
+            until=until,
+            on_departures=self._handle_departure_batch,
+        )
         return self._result(end_time)
 
     # ------------------------------------------------------------------ #
-    # Stateful (forkable) runs — flat engine only
+    # Stateful (forkable) runs
     # ------------------------------------------------------------------ #
 
     @property
@@ -540,11 +459,6 @@ class DDCSimulator:
         :class:`ColumnarArrivals` source, so even forkable million-VM runs
         keep O(chunk) request objects resident.
         """
-        if self.engine != "flat":
-            raise SimulationError(
-                "forkable runs require the flat engine; "
-                f"this simulator uses {self.engine!r}"
-            )
         ordered = self._arrival_ordered(vms, stream=False)
         self._flat = FlatEngine()
         if isinstance(ordered, ColumnarArrivals):
@@ -566,8 +480,7 @@ class DDCSimulator:
         first — processing every event at exactly ``when`` — then fires the
         action, so the fault lands at the same point of the event stream in
         a cold run, a restored run, and a fork.  Same-time faults fire in
-        scheduling order.  One-shot :meth:`run` honors the timeline too
-        (flat engine only).
+        scheduling order.  One-shot :meth:`run` honors the timeline too.
         """
         bisect.insort(self._pending_faults, (when, self._fault_seq, action))
         self._fault_seq += 1
@@ -596,7 +509,7 @@ class DDCSimulator:
                     self._handle_arrival,
                     self._handle_departure,
                     until=when,
-                    on_departures=self._on_departures,
+                    on_departures=self._handle_departure_batch,
                 )
             self._pending_faults.pop(0)
             action.apply(self)
@@ -604,7 +517,7 @@ class DDCSimulator:
             self._handle_arrival,
             self._handle_departure,
             until=until,
-            on_departures=self._on_departures,
+            on_departures=self._handle_departure_batch,
         )
 
     def finish(self) -> SimulationResult:
@@ -690,15 +603,22 @@ class DDCSimulator:
         forks cheap; for many branches off one point, prefer
         :meth:`full_checkpoint`/:meth:`restore_run`, which rewind histories
         by length instead of copying them.
+
+        The clone's scheduler is built from ``type(self.scheduler)``, not
+        from its registry name, so an unregistered subclass forks into
+        itself.
         """
         engine = self._require_run()
+        cluster = build_cluster(self.spec)
+        fabric = NetworkFabric(self.spec, cluster)
         clone = DDCSimulator(
             self.spec,
-            self.scheduler.name,
+            type(self.scheduler)(self.spec, cluster, fabric),
+            cluster=cluster,
+            fabric=fabric,
             event_log=EventLog(self.event_log.events)
             if self.event_log is not None
             else None,
-            engine="flat",
             keep_records=self.collector.keep_records,
             admission_threshold=self.admission_threshold,
             chunk_size=self.chunk_size,
@@ -756,8 +676,7 @@ def simulate(
     spec: ClusterSpec,
     scheduler: str,
     vms: Iterable[VMRequest] | TraceColumns,
-    engine: str | None = None,
     keep_records: bool = True,
 ) -> SimulationResult:
     """One-shot convenience wrapper: fresh cluster, run, summarize."""
-    return DDCSimulator(spec, scheduler, engine=engine, keep_records=keep_records).run(vms)
+    return DDCSimulator(spec, scheduler, keep_records=keep_records).run(vms)

@@ -18,7 +18,6 @@ from .capacity_index import (
     placement_mode,
 )
 from .cluster import Cluster
-from .defrag import Migration, MigrationPlan, apply_plan, plan_rack_defrag
 from .rack import Rack
 
 __all__ = [
@@ -28,15 +27,11 @@ __all__ = [
     "CapacityIndex",
     "Cluster",
     "MaxSegmentTree",
-    "Migration",
-    "MigrationPlan",
     "PLACEMENT_INDEX_ENV",
     "PLACEMENT_MODES",
-    "apply_plan",
     "index_enabled",
     "placement_index_mode",
     "placement_mode",
-    "plan_rack_defrag",
     "Rack",
     "build_cluster",
     "prime_availability",

@@ -142,28 +142,7 @@ class TestNewCommands:
         assert "ci_low" in out and "risa_bf" in out
 
 
-class TestEngineAndSweepFlags:
-    def test_simulate_generator_engine(self, capsys):
-        code = main(["simulate", "risa", "--workload", "synthetic",
-                     "--count", "30", "--engine", "generator"])
-        assert code == 0
-        assert "scheduled_vms" in capsys.readouterr().out
-
-    def test_engine_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "risa", "--engine", "warp"])
-
-    def test_engines_agree_through_cli(self, capsys):
-        assert main(["simulate", "risa", "--count", "40", "--engine", "flat"]) == 0
-        flat_out = capsys.readouterr().out
-        assert main(["simulate", "risa", "--count", "40", "--engine", "generator"]) == 0
-        generator_out = capsys.readouterr().out
-
-        def stable(text):  # drop the wall-clock scheduler_time_s line
-            return [l for l in text.splitlines() if "scheduler_time_s" not in l]
-
-        assert stable(flat_out) == stable(generator_out)
-
+class TestSweepFlags:
     def test_sweep_serial(self, capsys):
         code = main(["sweep", "--schedulers", "risa", "nulb", "--seeds", "2",
                      "--count", "40"])

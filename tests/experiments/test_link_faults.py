@@ -150,7 +150,7 @@ class TestScheduledFaultEquivalence:
         return times[60]
 
     def cold_run(self, spec, scheduler, vms):
-        sim = DDCSimulator(spec, scheduler, event_log=EventLog(), engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=EventLog())
         self.setup_schedule(sim, vms)
         return run_triple(sim, vms)
 
@@ -160,7 +160,7 @@ class TestScheduledFaultEquivalence:
         vms = trace(seed=2)
         cold = self.cold_run(spec, scheduler, vms)
 
-        warm = DDCSimulator(spec, scheduler, event_log=EventLog(), engine="flat")
+        warm = DDCSimulator(spec, scheduler, event_log=EventLog())
         fork_time = self.setup_schedule(warm, vms)
         warm.start_run(vms)
         warm.advance(fork_time)
@@ -183,7 +183,7 @@ class TestScheduledFaultEquivalence:
         vms = trace(seed=2)
         cold = self.cold_run(spec, "risa", vms)
 
-        sim = DDCSimulator(spec, "risa", event_log=EventLog(), engine="flat")
+        sim = DDCSimulator(spec, "risa", event_log=EventLog())
         self.setup_schedule(sim, vms)
         times = sorted(vm.arrival for vm in vms)
         sim.start_run(vms)
@@ -202,7 +202,7 @@ class TestScheduledFaultEquivalence:
     def test_flap_recovers_capacity(self):
         spec = tiny_test()
         vms = trace()
-        sim = DDCSimulator(spec, "risa", engine="flat")
+        sim = DDCSimulator(spec, "risa")
         times = sorted(vm.arrival for vm in vms)
         LinkFlap(times[50], times[90], tier=-1, node=0).apply(sim)
         before = sim.fabric.tier_capacity_gbps(sim.fabric.tiers[-1])
@@ -221,18 +221,18 @@ class TestScheduledFaultEquivalence:
         stateful machinery instead of silently dropping the schedule."""
         spec = tiny_test()
         vms = trace(seed=1)
-        sim = DDCSimulator(spec, "risa", engine="flat")
+        sim = DDCSimulator(spec, "risa")
         LinkFailure(tier=-1, node=0, at=50.0).apply(sim)
         assert sim.pending_faults
         sim.run(vms)
         assert not sim.pending_faults
         assert sim.fabric.down_link_ids()
 
-    def test_generator_engine_rejects_timeline(self):
-        sim = DDCSimulator(tiny_test(), "risa", engine="generator")
+    def test_stream_mode_rejects_timeline(self):
+        sim = DDCSimulator(tiny_test(), "risa")
         LinkFailure(at=50.0).apply(sim)
-        with pytest.raises(SimulationError, match="flat engine"):
-            sim.run(trace(count=20))
+        with pytest.raises(SimulationError, match="stream=True"):
+            sim.run(trace(count=20), stream=True)
 
 
 class TestScenarioIntegration:
@@ -252,7 +252,7 @@ class TestScenarioIntegration:
         names = [b.branch for b in outcome.branches]
         assert names == ["baseline", "flap", "links@0-down"]
 
-        cold = DDCSimulator(spec, "risa", engine="flat").run(vms)
+        cold = DDCSimulator(spec, "risa").run(vms)
         baseline = outcome.branch("baseline").summary.as_dict()
         baseline.pop("scheduler_time_s")
         expected = cold.summary.as_dict()

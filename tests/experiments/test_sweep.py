@@ -75,16 +75,6 @@ class TestSimulationSession:
             assert _masked(a.summary) == _masked(b.summary)
             assert a.end_time == b.end_time
 
-    def test_engine_selection_flows_to_points(self):
-        session = SimulationSession(tiny_test(), parallel=1, engine="generator")
-        result = session.sweep(schedulers=("risa",), seeds=(0,), count=20)
-        assert result.outcomes[0].point.engine == "generator"
-
-    def test_session_honors_engine_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "generator")
-        session = SimulationSession(tiny_test(), parallel=1)
-        assert session.engine == "generator"
-
 
 class TestParallelRunAll:
     def test_subset_selection(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import tiny_test
 from repro.errors import SimulationError
-from repro.sim import DDCSimulator, ENGINES, FlatEngine, default_engine
+from repro.sim import DDCSimulator, EventLog, FlatEngine
 from repro.workloads import resolve
 from tests.conftest import make_vm
 
@@ -50,9 +50,8 @@ class TestFlatEngine:
         assert engine.now == 4.5  # last departure: arrival 2 + lifetime 2.5
 
     def test_equal_time_arrival_beats_departure(self, tiny_spec):
-        # VM 0 departs at t=5; VM 1 arrives at t=5. The generator engine
-        # fires the arrival first (its timeout was scheduled during
-        # bootstrap); the flat calendar must match.
+        # VM 0 departs at t=5; VM 1 arrives at t=5: at equal times the
+        # arrival fires first.
         requests = [
             _request(tiny_spec, vm_id=0, arrival=0.0, lifetime=5.0),
             _request(tiny_spec, vm_id=1, arrival=5.0, lifetime=1.0),
@@ -107,29 +106,14 @@ class TestFlatEngine:
             engine.schedule_departure(1.0, object())
 
 
-class TestSimulatorEngineSelection:
-    def test_default_engine_is_flat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert default_engine() == "flat"
-        assert DDCSimulator(tiny_test(), "risa").engine == "flat"
+class TestSimulatorCalendar:
+    def test_flat_is_the_only_engine(self):
+        DDCSimulator(tiny_test(), "risa")
+        for name in ("generator", "warp"):
+            with pytest.raises(SimulationError, match="only engine"):
+                DDCSimulator(tiny_test(), "risa", engine=name)
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "generator")
-        assert DDCSimulator(tiny_test(), "risa").engine == "generator"
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        with pytest.raises(SimulationError):
-            DDCSimulator(tiny_test(), "risa")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            DDCSimulator(tiny_test(), "risa", engine="warp")
-
-    def test_engine_names_exported(self):
-        assert ENGINES == ("flat", "generator")
-
-    def test_unsorted_trace_handled_by_flat_engine(self, tiny_spec):
+    def test_unsorted_trace_sorted_before_the_calendar(self, tiny_spec):
         # Trace files need not be arrival-sorted; the simulator restores
         # arrival order (stable) before streaming into the calendar.
         vms = [
@@ -138,13 +122,12 @@ class TestSimulatorEngineSelection:
             make_vm(vm_id=1, arrival=1.0, lifetime=2.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
         ]
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(vms)
+        result = DDCSimulator(tiny_spec, "risa").run(vms)
         assert result.summary.scheduled_vms == 2
         assert result.end_time == 11.0
 
     def test_unsorted_generator_input_buffered_and_sorted(self, tiny_spec):
-        # Non-sequence iterables keep the pre-flat-engine contract: any
-        # order is accepted (buffered + sorted) unless stream=True opts in
+        # Non-sequence iterables accept any order (buffered + sorted) unless stream=True opts in
         # to lazy consumption.
         def trace():
             yield make_vm(vm_id=0, arrival=9.0, lifetime=2.0, cpu_cores=4,
@@ -152,7 +135,7 @@ class TestSimulatorEngineSelection:
             yield make_vm(vm_id=1, arrival=1.0, lifetime=2.0, cpu_cores=4,
                           ram_gb=4.0, storage_gb=64.0)
 
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(trace())
+        result = DDCSimulator(tiny_spec, "risa").run(trace())
         assert result.summary.scheduled_vms == 2
         assert result.end_time == 11.0
 
@@ -163,7 +146,7 @@ class TestSimulatorEngineSelection:
             yield make_vm(vm_id=1, arrival=1.0, cpu_cores=4, ram_gb=4.0,
                           storage_gb=64.0)
 
-        sim = DDCSimulator(tiny_spec, "risa", engine="flat")
+        sim = DDCSimulator(tiny_spec, "risa")
         with pytest.raises(SimulationError, match="not sorted"):
             sim.run(trace(), stream=True)
 
@@ -173,14 +156,13 @@ class TestSimulatorEngineSelection:
                 yield make_vm(vm_id=i, arrival=float(i), lifetime=2.0,
                               cpu_cores=4, ram_gb=4.0, storage_gb=64.0)
 
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(
+        result = DDCSimulator(tiny_spec, "risa").run(
             trace(), stream=True
         )
         assert result.summary.scheduled_vms == 3
 
     def test_equal_arrivals_keep_trace_order_when_sorting(self, tiny_spec):
-        # Stable sort: among equal arrival times the trace order decides,
-        # matching the generator engine's bootstrap-sequence tie rule.
+        # Stable sort: among equal arrival times the trace order decides.
         vms = [
             make_vm(vm_id=0, arrival=5.0, lifetime=1.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
@@ -189,9 +171,7 @@ class TestSimulatorEngineSelection:
             make_vm(vm_id=2, arrival=1.0, lifetime=1.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
         ]
-        from repro.sim import EventLog
-
         log = EventLog()
-        DDCSimulator(tiny_spec, "risa", event_log=log, engine="flat").run(vms)
+        DDCSimulator(tiny_spec, "risa", event_log=log).run(vms)
         arrivals = [e.vm_id for e in log.events if e.kind == "arrival"]
         assert arrivals == [1, 2, 0]

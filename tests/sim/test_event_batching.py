@@ -1,46 +1,42 @@
-"""Batched event application and lazy gauges: bit-identity pins.
+"""Batched departures and lazy gauges: bit-identity pins.
 
-``REPRO_EVENT_BATCHING`` regroups departure bursts into fused array
-applications and ``REPRO_LAZY_GAUGES`` defers gauge integral folds into a
-pending register — both are *regroupings* of the same arithmetic, never
-approximations, so every observable (event digest, summary, end time) must
-be bit-identical with the knobs on or off.  These tests pin that over
-seeds 0-19 x all four paper schedulers x the two-tier paper preset plus
-the VL2 and fat-tree zoo fabrics, and additionally place checkpoint /
-restore / fork cuts *inside* a deferred-gauge interval and *inside* a
-departure burst — the two places where deferred state could leak across a
-snapshot boundary.
+The simulator hands every run of consecutive departures to a fused array
+release, and the gauge bank defers integral folds into a pending register.
+Both are *regroupings* of the same arithmetic, never approximations, so
+every observable (event digest, summary, end time) must be bit-identical to
+releasing the same departures one event at a time.  The per-event route is
+the simulator's own fallback for batches under ``_MIN_FAST_BATCH``; raising
+that floor above the trace length forces it for a whole run.  These tests
+pin the equality over seeds 0-19 x all four paper schedulers x the two-tier
+paper preset plus the VL2 and fat-tree zoo fabrics, and additionally place
+checkpoint / restore / fork cuts *inside* a deferred-gauge interval and
+*inside* a departure burst — the two places where deferred state could leak
+across a snapshot boundary.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro.config import PRESETS, paper_default
-from repro.errors import SimulationError
-from repro.metrics.gauges import LAZY_GAUGES_ENV
-from repro.schedulers import PAPER_SCHEDULERS
-from repro.sim import BATCHING_ENV_VAR, DDCSimulator, EventLog, event_batching_enabled
+from repro.network import NetworkFabric
+from repro.schedulers import PAPER_SCHEDULERS, scheduler_class
+from repro.sim import DDCSimulator, EventLog
+from repro.topology import build_cluster
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
 #: Two-tier paper fabric plus the multi-tier zoo presets.
 BATCHING_PRESETS = ("paper", "vl2", "fat-tree")
 
 
-@contextmanager
-def knobs(**env):
-    """Pin REPRO_* environment knobs for one simulator construction."""
-    prior = {var: os.environ.get(var) for var in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for var, value in prior.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+@pytest.fixture
+def force_scalar(monkeypatch):
+    """Returns a callable that makes every departure batch of a trace take
+    the per-event fallback, by raising the fused path's size floor."""
+
+    def force(vms):
+        monkeypatch.setattr(simulator_module, "_MIN_FAST_BATCH", len(vms) + 1)
+
+    return force
 
 
 def trace(count=60, seed=0):
@@ -53,45 +49,128 @@ def masked(summary):
     return d
 
 
-def run_once(spec, scheduler, vms, **env):
-    with knobs(**env):
-        log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
-        result = sim.run(vms)
-    return log.digest(), masked(result.summary), result.end_time
+def run_once(spec, scheduler, vms):
+    """One run; returns its observables and how many batches took the fused
+    release path."""
+    log = EventLog()
+    sim = DDCSimulator(spec, scheduler, event_log=log)
+    fused = sim._apply_departure_batch
+    calls = []
+
+    def counting(batch):
+        calls.append(len(batch))
+        fused(batch)
+
+    sim._apply_departure_batch = counting
+    result = sim.run(vms)
+    return (log.digest(), masked(result.summary), result.end_time), len(calls)
 
 
-class TestKnobBitIdentity:
+class TestBatchedMatchesPerEvent:
     @pytest.mark.parametrize("preset", BATCHING_PRESETS)
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     @pytest.mark.parametrize("seed", range(20))
-    def test_batching_and_lazy_gauges_change_nothing(self, preset, scheduler, seed):
-        """Default (batched + lazy), batching off, and lazy gauges off all
+    def test_fused_release_changes_nothing(self, preset, scheduler, seed, force_scalar):
+        """The default run and a run forced onto the per-event fallback
         produce the same digest, summary, and end time.
 
         The default trace shape guarantees a departure burst (lifetimes
         dwarf the arrival span, so the whole departure tail drains as one
-        batch) — the fused scatter-add path runs, it is not vacuous.
+        batch), and the call count proves the fused path ran.
         """
         spec = PRESETS[preset]()
         vms = trace(seed=seed)
-        batched = run_once(spec, scheduler, vms)
-        scalar = run_once(spec, scheduler, vms, **{BATCHING_ENV_VAR: "off"})
-        eager = run_once(spec, scheduler, vms, **{LAZY_GAUGES_ENV: "off"})
+        batched, fused_calls = run_once(spec, scheduler, vms)
+        force_scalar(vms)
+        scalar, scalar_fused_calls = run_once(spec, scheduler, vms)
+        assert fused_calls >= 1
+        assert scalar_fused_calls == 0
         assert batched == scalar
-        assert batched == eager
 
-    def test_bad_knob_value_rejected(self):
-        with knobs(**{BATCHING_ENV_VAR: "sideways"}):
-            with pytest.raises(SimulationError):
-                event_batching_enabled()
+
+class TestPerEventFallbackRoutes:
+    """The per-event route is chosen from the run's input, not a setting:
+    small batches, schedulers that override ``release``, and drained racks
+    all take it, and each still produces the default run's bits."""
+
+    @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+    def test_release_override_takes_per_event_route(self, scheduler):
+        base = scheduler_class(scheduler)
+
+        class CountingRelease(base):
+            """Unregistered subclass whose ``release`` counts its calls."""
+
+            releases = 0
+
+            def release(self, placement):
+                self.releases += 1
+                super().release(placement)
+
+        spec = paper_default()
+        vms = trace(seed=4)
+        reference, _ = run_once(spec, scheduler, vms)
+
+        cluster = build_cluster(spec)
+        fabric = NetworkFabric(spec, cluster)
+        custom = CountingRelease(spec, cluster, fabric)
+        log = EventLog()
+        sim = DDCSimulator(
+            spec, custom, cluster=cluster, fabric=fabric, event_log=log
+        )
+        sim._apply_departure_batch = None  # the fused path must not be reached
+        result = sim.run(vms)
+        assert custom.releases == result.summary.scheduled_vms > 0
+        assert (log.digest(), masked(result.summary), result.end_time) == reference
+
+    def test_small_batches_take_per_event_route(self):
+        """A trace whose departures never bunch up to ``_MIN_FAST_BATCH``
+        releases every VM through the per-event handler."""
+        vms = trace(count=simulator_module._MIN_FAST_BATCH - 1, seed=2)
+        (_, summary, _), fused_calls = run_once(paper_default(), "risa", vms)
+        assert summary["scheduled_vms"] == len(vms)
+        assert fused_calls == 0
+
+    def test_drained_racks_take_per_event_route(self, force_scalar):
+        """Once racks are drained mid-run, the departure tail (which fuses
+        in the undrained run) releases one event at a time — sticky
+        re-occupation is per box — and matches a run forced onto the
+        per-event route for its whole length."""
+
+        def drained_run(spec, vms):
+            log = EventLog()
+            sim = DDCSimulator(spec, "risa", event_log=log)
+            fused = sim._apply_departure_batch
+            calls = []
+
+            def counting(batch):
+                calls.append(len(batch))
+                fused(batch)
+
+            sim._apply_departure_batch = counting
+            sim.start_run(vms)
+            sim.advance(until=sorted(vm.arrival for vm in vms)[len(vms) // 2])
+            sim.cluster.drain_racks([0, 1])
+            result = sim.finish()
+            log.audit()
+            return (log.digest(), masked(result.summary), result.end_time), calls
+
+        spec = paper_default()
+        vms = trace(seed=6)
+        _, undrained_fused_calls = run_once(spec, "risa", vms)
+        assert undrained_fused_calls >= 1
+        default, fused_calls = drained_run(spec, vms)
+        assert fused_calls == []
+        force_scalar(vms)
+        forced, _ = drained_run(spec, vms)
+        assert default == forced
 
 
 class TestCutsInsideDeferredState:
     """Checkpoint / restore / fork cuts where deferred state is in flight."""
 
     def _uncut(self, spec, scheduler, vms):
-        return run_once(spec, scheduler, vms)
+        observed, _ = run_once(spec, scheduler, vms)
+        return observed
 
     def _mid_gauge_interval(self, vms):
         """A non-event time strictly between two arrivals: the gauge bank
@@ -115,7 +194,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=seed)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_gauge_interval(vms))
         checkpoint = sim.full_checkpoint()
@@ -137,7 +216,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=seed)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_departure_burst(vms))
         checkpoint = sim.full_checkpoint()
@@ -157,7 +236,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=3)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_departure_burst(vms))
         clone = sim.fork()
@@ -181,7 +260,7 @@ class TestCutsInsideDeferredState:
         digest, summary, end = self._uncut(spec, scheduler, vms)
         times = sorted(vm.arrival for vm in vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=times[len(times) // 2])  # events at the cut run
         clone = sim.fork()
@@ -194,22 +273,21 @@ class TestCutsInsideDeferredState:
         assert clone_result.end_time == parent_result.end_time == end
 
     @pytest.mark.parametrize("scheduler", ("nulb", "nalb"))
-    def test_fork_under_scalar_and_eager_knobs(self, scheduler):
-        """Cuts agree with the uncut run under the off knobs too — the
-        scalar/eager paths share the same checkpoint contract."""
+    def test_fork_under_forced_scalar(self, scheduler, force_scalar):
+        """A fork on the per-event fallback agrees with the uncut batched
+        run — both paths share the same checkpoint contract."""
         spec = paper_default()
         vms = trace(seed=7)
         reference = self._uncut(spec, scheduler, vms)
-        for env in ({BATCHING_ENV_VAR: "off"}, {LAZY_GAUGES_ENV: "off"}):
-            with knobs(**env):
-                log = EventLog()
-                sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
-                sim.start_run(vms)
-                sim.advance(until=self._mid_departure_burst(vms))
-                clone = sim.fork()
-                clone_result = clone.finish()
-                parent_result = sim.finish()
-            assert (log.digest(), masked(parent_result.summary),
-                    parent_result.end_time) == reference
-            assert (clone.event_log.digest(), masked(clone_result.summary),
-                    clone_result.end_time) == reference
+        force_scalar(vms)
+        log = EventLog()
+        sim = DDCSimulator(spec, scheduler, event_log=log)
+        sim.start_run(vms)
+        sim.advance(until=self._mid_departure_burst(vms))
+        clone = sim.fork()
+        clone_result = clone.finish()
+        parent_result = sim.finish()
+        assert (log.digest(), masked(parent_result.summary),
+                parent_result.end_time) == reference
+        assert (clone.event_log.digest(), masked(clone_result.summary),
+                clone_result.end_time) == reference

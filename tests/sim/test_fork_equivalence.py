@@ -3,8 +3,7 @@
 A run interrupted at any point and resumed — in place via ``restore_run`` or
 into an independent simulator via ``fork()`` — must be indistinguishable
 from the uninterrupted run: same event digest, same summary (modulo
-wall-clock scheduler time), for every paper scheduler, on either reference
-engine's uninterrupted output.  These tests fork at 25/50/75% of the trace
+wall-clock scheduler time), for every paper scheduler.  These tests fork at 25/50/75% of the trace
 over seeds 0-9 and additionally pin that abandoned branches (perturbations
 included) leave no trace after a rewind, and that forks are fully
 independent of their parent.
@@ -14,8 +13,10 @@ import pytest
 
 from repro.config import paper_default, tiny_test
 from repro.errors import SimulationError
-from repro.schedulers import PAPER_SCHEDULERS
+from repro.network import NetworkFabric
+from repro.schedulers import PAPER_SCHEDULERS, RISAScheduler
 from repro.sim import DDCSimulator, EventLog
+from repro.topology import build_cluster
 from repro.types import RESOURCE_ORDER
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
@@ -32,9 +33,9 @@ def masked(summary):
     return d
 
 
-def uninterrupted(spec, scheduler, vms, engine):
+def uninterrupted(spec, scheduler, vms):
     log = EventLog()
-    sim = DDCSimulator(spec, scheduler, event_log=log, engine=engine)
+    sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms)
     return log.digest(), masked(result.summary), result.end_time
 
@@ -60,37 +61,32 @@ def stateful_with_checkpoints(spec, scheduler, vms):
 class TestForkContinuationBitIdentical:
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_restore_matches_both_engines(self, scheduler, seed):
+    def test_restore_matches_uninterrupted_run(self, scheduler, seed):
         """Fork at 25/50/75% and continue: digest + summary equal the
-        uninterrupted run on the flat *and* the generator engine."""
+        uninterrupted one-shot run."""
         spec = paper_default()
         vms = trace(seed=seed)
-        flat_digest, flat_summary, flat_end = uninterrupted(spec, scheduler, vms, "flat")
-        gen_digest, gen_summary, gen_end = uninterrupted(
-            spec, scheduler, vms, "generator"
-        )
-        assert flat_digest == gen_digest  # both references agree
-        assert flat_summary == gen_summary
+        digest, summary, end = uninterrupted(spec, scheduler, vms)
 
         sim, log, result, checkpoints = stateful_with_checkpoints(spec, scheduler, vms)
         # The stateful pass itself reproduces the one-shot run.
-        assert log.digest() == flat_digest
-        assert masked(result.summary) == flat_summary
-        assert result.end_time == flat_end == gen_end
+        assert log.digest() == digest
+        assert masked(result.summary) == summary
+        assert result.end_time == end
 
         for checkpoint in checkpoints:
             sim.restore_run(checkpoint)
             resumed = sim.finish()
-            assert log.digest() == flat_digest
-            assert masked(resumed.summary) == flat_summary
-            assert resumed.end_time == flat_end
+            assert log.digest() == digest
+            assert masked(resumed.summary) == summary
+            assert resumed.end_time == end
 
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     def test_oversubscribed_drop_paths(self, scheduler):
         """Forks replay drop decisions exactly on a saturated tiny cluster."""
         spec = tiny_test()
         vms = trace(count=200, seed=1)
-        digest, summary, end = uninterrupted(spec, scheduler, vms, "flat")
+        digest, summary, end = uninterrupted(spec, scheduler, vms)
         assert summary["dropped_vms"] > 0  # the drop path is exercised
         sim, log, result, checkpoints = stateful_with_checkpoints(spec, scheduler, vms)
         assert log.digest() == digest
@@ -122,7 +118,7 @@ class TestForkIndependence:
         observes the other's placements, releases, or metrics."""
         spec = paper_default()
         vms = trace(count=120, seed=3)
-        digest, summary, end = uninterrupted(spec, "risa", vms, "flat")
+        digest, summary, end = uninterrupted(spec, "risa", vms)
 
         log = EventLog()
         sim = DDCSimulator(spec, "risa", event_log=log)
@@ -151,11 +147,100 @@ class TestForkIndependence:
         assert clone.collector is not sim.collector
         assert clone.event_log is not sim.event_log
 
+    def test_fork_keeps_an_unregistered_scheduler_class(self):
+        """The clone runs the parent's scheduler class, not whatever class
+        the registry holds under its name (here: none)."""
+
+        class CountingRISA(RISAScheduler):
+            """Unregistered RISA that counts its decisions."""
+
+            name = "counting_risa"
+            decisions = 0
+
+            def schedule(self, request):
+                self.decisions += 1
+                return super().schedule(request)
+
+        spec = paper_default()
+        vms = trace(count=120, seed=3)
+        digest, summary, end = uninterrupted(spec, "risa", vms)
+
+        cluster = build_cluster(spec)
+        fabric = NetworkFabric(spec, cluster)
+        sim = DDCSimulator(
+            spec,
+            CountingRISA(spec, cluster, fabric),
+            cluster=cluster,
+            fabric=fabric,
+            event_log=EventLog(),
+        )
+        sim.start_run(vms)
+        sim.advance(until=fork_times(vms)[1])
+        clone = sim.fork()
+        assert type(clone.scheduler) is CountingRISA
+        assert clone.scheduler.cluster is clone.cluster
+        assert clone.scheduler.fabric is clone.fabric
+
+        clone_result = clone.finish()
+        parent_result = sim.finish()
+        assert clone.scheduler.decisions > 0
+        for result, log in (
+            (clone_result, clone.event_log),
+            (parent_result, sim.event_log),
+        ):
+            assert log.digest() == digest
+            assert {**masked(result.summary), "scheduler": "risa"} == summary
+            assert result.end_time == end
+
+    def test_fork_keeps_a_subclass_that_reuses_a_registered_name(self):
+        """A subclass that keeps the name ``risa`` forks into itself, not
+        into the registered :class:`RISAScheduler` of that name."""
+
+        class TaggedRISA(RISAScheduler):
+            """Unregistered RISA that counts the placements it commits."""
+
+            placed = 0
+
+            def schedule(self, request):
+                placement = super().schedule(request)
+                if placement is not None:
+                    self.placed += 1
+                return placement
+
+        spec = paper_default()
+        vms = trace(count=120, seed=4)
+        digest, summary, end = uninterrupted(spec, "risa", vms)
+
+        cluster = build_cluster(spec)
+        fabric = NetworkFabric(spec, cluster)
+        sim = DDCSimulator(
+            spec,
+            TaggedRISA(spec, cluster, fabric),
+            cluster=cluster,
+            fabric=fabric,
+            event_log=EventLog(),
+        )
+        sim.start_run(vms)
+        sim.advance(until=fork_times(vms)[0])
+        clone = sim.fork()
+        assert type(clone.scheduler) is TaggedRISA
+
+        clone_result = clone.finish()
+        parent_result = sim.finish()
+        assert clone.scheduler.placed > 0
+        for result, log in (
+            (clone_result, clone.event_log),
+            (parent_result, sim.event_log),
+        ):
+            assert log.digest() == digest
+            assert masked(result.summary) == summary
+            assert result.end_time == end
+
     def test_random_scheduler_rng_forks_exactly(self):
         """The seeded random baseline replays its draws after a fork."""
         spec = paper_default()
         vms = trace(count=100, seed=5)
-        digest, summary, _ = uninterrupted(spec, "random", vms, "flat")
+        digest, summary, _ = uninterrupted(spec, "random", vms)
         log = EventLog()
         sim = DDCSimulator(spec, "random", event_log=log)
         sim.start_run(vms)
@@ -175,7 +260,7 @@ class TestAbandonedBranchesLeaveNoTrace:
         branch must not leak into the restored continuation."""
         spec = paper_default()
         vms = trace(count=150, seed=2)
-        digest, summary, _ = uninterrupted(spec, "risa", vms, "flat")
+        digest, summary, _ = uninterrupted(spec, "risa", vms)
 
         log = EventLog()
         sim = DDCSimulator(spec, "risa", event_log=log)
@@ -252,11 +337,6 @@ class TestPerturbedForks:
 
 
 class TestStatefulRunGuards:
-    def test_requires_flat_engine(self):
-        sim = DDCSimulator(paper_default(), "risa", engine="generator")
-        with pytest.raises(SimulationError, match="flat engine"):
-            sim.start_run(trace(count=10))
-
     def test_requires_started_run(self):
         sim = DDCSimulator(paper_default(), "risa")
         with pytest.raises(SimulationError, match="start_run"):

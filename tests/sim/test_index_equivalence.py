@@ -33,7 +33,7 @@ def run_mode(spec, scheduler, vms, mode, until=None):
     """One flat-engine run with the placement mode latched at construction."""
     with placement_mode(mode):
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms, until=until)
     summary = result.summary.as_dict()
     summary.pop("scheduler_time_s")  # the one legitimately nondeterministic field
@@ -118,7 +118,7 @@ class TestCheckpointRollback:
         rebuilt indexes answer exactly as before the what-if run."""
         spec = tiny_test()
         all_vms = generate_synthetic(SyntheticWorkloadParams(count=120), seed=3)
-        sim = DDCSimulator(spec, scheduler, engine="flat")
+        sim = DDCSimulator(spec, scheduler)
         sim.run(all_vms[:40], until=all_vms[39].arrival + 1.0)
         cp = sim.checkpoint()
         frontier_before = {
@@ -139,7 +139,7 @@ class TestCheckpointRollback:
     def test_rollback_restores_tier_counters(self):
         spec = tiny_test()
         vms = generate_synthetic(SyntheticWorkloadParams(count=60), seed=5)
-        sim = DDCSimulator(spec, "nulb", engine="flat")
+        sim = DDCSimulator(spec, "nulb")
         cp = sim.checkpoint()
         sim.run(vms, until=200.0)
         sim.rollback(cp)

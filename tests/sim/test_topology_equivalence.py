@@ -49,7 +49,7 @@ def explicit_two_tier_spec():
 def run_sim(spec, scheduler, vms, mode="indexed"):
     with placement_mode(mode):
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms)
     summary = result.summary.as_dict()
     summary.pop("scheduler_time_s")
@@ -126,7 +126,7 @@ class TestPodPresetEndToEnd:
         """DDCSimulator checkpoint/rollback rewinds all three tiers."""
         spec = tiny_pod_test()
         vms = generate_synthetic(SyntheticWorkloadParams(count=100), seed=3)
-        sim = DDCSimulator(spec, "risa_pod", engine="flat")
+        sim = DDCSimulator(spec, "risa_pod")
         sim.run(vms[:30], until=vms[29].arrival + 1.0)
         checkpoint = sim.checkpoint()
         sim.run(vms[30:], stream=False)

@@ -23,7 +23,7 @@ ZOO_PRESETS = ("vl2", "fat-tree")
 def run_sim(spec, scheduler, vms, mode="indexed"):
     with placement_mode(mode):
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms)
     summary = result.summary.as_dict()
     summary.pop("scheduler_time_s")

@@ -6,12 +6,13 @@ gauge accumulators — into flat numpy arrays.  These tests pin the contract
 that makes that safe: on any trace, ``REPRO_STATE_BACKEND=arrays`` and
 ``=objects`` produce the *same* event stream (EventLog digest), the same
 summary (modulo wall-clock scheduler time), and the same end state, for all
-four paper schedulers, on both engines, through drops, rollbacks, and
-fork/restore continuations.
+four paper schedulers, with batched and per-event departures, through
+drops, rollbacks, and fork/restore continuations.
 """
 
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro.config import paper_default, tiny_test
 from repro.schedulers import PAPER_SCHEDULERS
 from repro.sim import DDCSimulator, EventLog
@@ -28,21 +29,19 @@ def _arrays_default(monkeypatch):
     monkeypatch.setenv(STATE_BACKEND_ENV, "arrays")
 
 
-def run_mode(spec, scheduler, vms, mode, engine="flat", until=None):
+def run_mode(spec, scheduler, vms, mode, until=None):
     """One run with the state backend latched at construction."""
     with state_backend(mode):
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine=engine)
+        sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms, until=until)
     summary = result.summary.as_dict()
     summary.pop("scheduler_time_s")  # the one legitimately nondeterministic field
     return log.digest(), summary, result.end_time, sim
 
 
-def run_both(spec, scheduler, vms, engine="flat", until=None):
-    return {
-        mode: run_mode(spec, scheduler, vms, mode, engine, until) for mode in MODES
-    }
+def run_both(spec, scheduler, vms, until=None):
+    return {mode: run_mode(spec, scheduler, vms, mode, until) for mode in MODES}
 
 
 def assert_equivalent(out):
@@ -63,10 +62,12 @@ class TestRandomTraceEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
-    def test_generator_engine_bit_identical(self, scheduler, seed):
-        """The reference generator engine agrees across backends too."""
+    def test_per_event_departures_bit_identical(self, scheduler, seed, monkeypatch):
+        """With every departure batch forced onto the per-event fallback,
+        the backends still agree."""
         vms = generate_synthetic(SyntheticWorkloadParams(count=60), seed=seed)
-        assert_equivalent(run_both(paper_default(), scheduler, vms, engine="generator"))
+        monkeypatch.setattr(simulator_module, "_MIN_FAST_BATCH", len(vms) + 1)
+        assert_equivalent(run_both(paper_default(), scheduler, vms))
 
 
 class TestOversubscriptionEquivalence:
@@ -131,7 +132,7 @@ class TestForkRestoreEquivalence:
         restores cluster, fabric, and rack maxima exactly."""
         spec = tiny_test()
         all_vms = generate_synthetic(SyntheticWorkloadParams(count=120), seed=3)
-        sim = DDCSimulator(spec, "risa", engine="flat")
+        sim = DDCSimulator(spec, "risa")
         sim.run(all_vms[:40], until=all_vms[39].arrival + 1.0)
         cp = sim.checkpoint()
         maxima_before = [

@@ -33,7 +33,7 @@ class World:
     def __init__(self, mode):
         self.mode = mode
         with state_backend(mode):
-            sim = DDCSimulator(tiny_test(), "risa", engine="flat")
+            sim = DDCSimulator(tiny_test(), "risa")
         self.cluster = sim.cluster
         self.fabric = sim.fabric
         self.allocations = []  # (box, receipt)
@@ -206,7 +206,7 @@ def test_no_numpy_scalar_reenters_state_core(monkeypatch):
     monkeypatch.setattr(Cluster, "apply_release_batch", counting)
     vms = generate_synthetic(SyntheticWorkloadParams(count=240), seed=1)
     times = sorted(vm.arrival for vm in vms)
-    sim = DDCSimulator(tiny_test(), "risa", engine="flat")
+    sim = DDCSimulator(tiny_test(), "risa")
     sim.start_run(TraceColumns.from_vms(vms))
     sim.advance(until=times[len(times) // 2])
     assert_native_columns(sim)
